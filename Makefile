@@ -3,7 +3,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast soak chaos trace-demo bench-engine bench-procpool bench-gateway bench-slo bench-cost bench-cache bench-all
+.PHONY: test test-fast soak chaos trace-demo bench-engine bench-procpool bench-gateway bench-slo bench-cost bench-cache bench-smoke bench-all
 
 test:
 	$(PY) -m pytest -x -q
@@ -78,6 +78,14 @@ bench-cost:
 # >= 4-core hosts; recorded honestly either way).
 bench-cache:
 	$(PY) benchmarks/bench_cache.py --check
+
+# The repository benchmark's own self-tests plus its ~20 s sanity pass
+# (one primer + one round at a tenth of the requests on all four
+# workloads; fails if a reply is wrong or if the printed metric names
+# differ from the ones BENCHMARK.json declares).
+bench-smoke:
+	$(PY) -m pytest -q benchmarks/djinn_bench/tests
+	$(PY) benchmarks/djinn_bench/run.py --smoke
 
 # Reproduce the Fig 11-shaped throughput-vs-replicas curve on the real
 # gateway; writes benchmarks/results/gateway_scaling.txt.

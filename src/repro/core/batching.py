@@ -1,76 +1,84 @@
-"""Server-side dynamic batching.
+"""Server-side dynamic batching: one loop — collect, one forward, scatter.
 
 Section 5.1 of the paper batches multiple DNN inputs into one larger GPU
-GEMM to raise occupancy and throughput.  This module is the service-side
-mechanism: per-model queues collect concurrent requests until ``max_batch``
-inputs are buffered or ``timeout_ms`` elapses, then execute them as a single
-forward pass and scatter the results back to the waiting requests.
+GEMM to raise occupancy and throughput (Fig 7).  This module is the
+service-side mechanism: per-model queues collect concurrent requests until
+``max_batch`` inputs are buffered or ``timeout_ms`` elapses, then execute
+them as a single forward pass and scatter the results back to the waiting
+requests.  On the numpy substrate the win is BLAS efficiency rather than
+GPU occupancy, but the mechanism (and its latency/throughput trade-off,
+which ``benchmarks/bench_ablation_batch_policy.py`` sweeps) is the same.
 
-On the numpy substrate the win is BLAS efficiency rather than GPU occupancy,
-but the mechanism (and its latency/throughput trade-off, which
-``benchmarks/bench_ablation_batch_policy.py`` sweeps) is the same.
+There is **one forward path**, :meth:`BatchingExecutor._serve`.  It takes
+an assembled batch and a runner — a locked
+:class:`repro.nn.engine.ExecutionPlan`, or ``None`` for a proc-pool slot —
+and runs gather → (layer-cache probe when armed) → forward → scatter → app
+postprocess, stamping every step into one per-batch timing record.
+:meth:`BatchingExecutor._account` then derives *every* span, every
+``djinn_stage_seconds_total`` stage, ``djinn_batch_size``,
+``djinn_fast_path_total`` and the latency-model observations from that
+record; nothing else in this module emits telemetry for a served batch.
 
-Copy-free serving: each worker compiles an :class:`repro.nn.engine.ExecutionPlan`
-for its model (``use_plans=True``) and gathers request payloads directly into
-the plan's input slab — partial batches run as prefix views, there is no
-re-stack ``np.concatenate``.  Results are scattered back as *read-only views*
-of the plan's output slab; because the arena is reused by the next batch, the
-worker holds ``plan.lock`` until every waiter signals it has consumed its
-view (the lease barrier).  :meth:`BatchingExecutor.submit` copies on behalf
-of the caller (ownership transfer); :meth:`BatchingExecutor.submit_lease`
-hands the view itself to zero-copy consumers such as
-:class:`repro.core.server.DjinnServer`, which serializes straight from the
-slab and then releases.  Batches that overflow the plan envelope (the
-collector admits one oversize request past ``max_batch``) fall back to the
-legacy stacked path.
+The routine has two callers:
 
-Observability: requests that arrive with trace context get ``backend.queue``
-(enqueue → batch execution start) and ``batch.assemble`` spans, the batch's
-single forward pass is replayed into every participating trace (optionally
-with per-layer sub-spans), and executed batch sizes feed a
-``djinn_batch_size`` histogram when a metrics registry is attached.
+* the model's **worker thread** collects a batch from the queue (fixed
+  window, or EDF order and an online batch size when a scheduling policy is
+  armed), runs the batched app preprocess, picks the runner — the pool slot
+  when a proc pool is armed, otherwise the model's envelope plan — and
+  serves.  A batch wider than the envelope (the collector admits one
+  oversize request past ``max_batch``) or than the pool slot runs through
+  the same routine on a throw-away plan compiled for its row count.
+* the **submitting thread** itself, for a batch of one (the batch-1 fast
+  path): when nothing is queued for the model and a parent-side plan sized
+  to the request is free, the queue handoff, the coalescing window and —
+  under a proc pool — the slot ring are pure overhead, so the submitter
+  serves its own request inline and never wakes the worker.  It declines,
+  and enqueues, whenever inline execution could change semantics: queued
+  work (coalescing wins), a service floor (pacing lives in the worker), an
+  armed fault plan (hook order must stay deterministic per seed), a closed
+  executor, an already-expired deadline under a scheduler (the EDF queue
+  owns typed rejection), a request wider than the envelope, or a busy plan
+  lock.  Rows preprocessed before a decline ride along in the enqueued
+  request, so an app payload is preprocessed exactly once.
 
-Streaming (protocol v4) rides the same machinery: each STREAM_CHUNK's DNN
-work is submitted through :meth:`BatchingExecutor.submit_lease` like any
-unary request, so chunks from concurrent streams coalesce into shared
-batches and obey the EDF queues when scheduling is armed — a stream gets
-incremental results without a private fast path through the executor.
+Copy-free serving: payloads are gathered straight into the plan's input
+slab and results are scattered back as *read-only views* of its output
+slab.  Because the arena is reused by the next batch, whoever holds
+``plan.lock`` keeps it until every waiter has consumed its view — the
+worker waits on the lease barrier, an inline lease releases the lock
+itself.  :meth:`BatchingExecutor.submit` copies on behalf of the caller;
+:meth:`BatchingExecutor.submit_lease` hands the view to zero-copy consumers
+such as :class:`repro.core.server.DjinnServer`, which serializes straight
+from the slab and then releases.
 
-App requests (protocol v5) turn the worker into a *staged pipeline*:
-:meth:`BatchingExecutor.submit_app` enqueues the raw task payload plus its
-:class:`repro.tonic.TonicApp`, the worker runs the app's **batched**
-``preprocess_batch`` over every raw request it coalesced (in the worker
-process's shm slot when a proc pool is armed and the payloads are
-slot-eligible, on the executor thread otherwise), forwards through the
-existing plan/slot-ring path, then runs ``postprocess_batch`` over the
-result block and hands each waiter its final application answer — the
-arena lease is consumed worker-side, so app waiters never hold the
-barrier.  A poisoned raw payload fails only its own request (typed
-error), never the batch: the vectorized call falls back to the per-item
-loop to isolate the offender.
+App requests (protocol v5, :meth:`BatchingExecutor.submit_app`) carry a raw
+payload plus its :class:`repro.tonic.TonicApp`: ``preprocess_batch`` runs
+over every raw request the batch coalesced (in the worker process's shm
+slot when a proc pool is armed and the payloads are slot-eligible),
+``postprocess_batch`` over the result block, and each waiter receives its
+final application answer — no arena lease to release.  A poisoned payload
+fails only its own request: the vectorized call falls back to the per-item
+loop to isolate the offender.  Streaming (protocol v4) chunks are ordinary
+:meth:`submit_lease` calls.
 
-The **batch-1 fast path** skips the queue handoff and the slot ring
-entirely: when a model's queue is empty and its plan lock is free, the
-submitting thread runs the preprocess/forward/postprocess stages inline
-on a parent-side plan and returns without ever waking the worker — this is
-what removes the per-request dispatch overhead that made a 1-worker proc
-pool slower than threaded serving (ROADMAP item 2).  The fast path turns
-itself off per-request whenever it could change semantics: queued work,
-a service floor, an armed fault plan, or an un-plannable model all fall
-back to the normal queue path.
+The layer cache (``layer_cache=``) is per model, not per plan:
+:meth:`repro.nn.engine.LayerCache.serve` runs on whichever plan the caller
+holds, so it composes with both callers.  Pool-slot batches cannot probe
+it (the arena lives in another process).
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from queue import Empty, Queue
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn.engine import LayerCache, LayerCacheConfig, PlanError
+from ..nn.engine import ExecutionPlan, LayerCache, LayerCacheConfig, PlanError
 from ..obs.metrics import MetricsRegistry
 from ..obs.profile import LayerTimer
 from ..obs.trace import Tracer, get_tracer
@@ -85,9 +93,6 @@ from . import faultsite
 from .registry import ModelRegistry
 
 __all__ = ["BatchPolicy", "BatchingExecutor", "ResultLease"]
-
-#: sentinel for a declined fast-path attempt (None is a valid result object)
-_FAST_MISS = object()
 
 #: Bucket bounds for the executed-batch-size histogram (inputs per forward).
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -108,31 +113,39 @@ class BatchPolicy:
 
 
 class _Pending:
-    """One submitted request waiting for its slice of a batched result."""
+    """One submitted request and, once served, its slice of the result."""
 
-    __slots__ = ("inputs", "event", "result", "error", "trace", "enqueue_s",
-                 "delivered_s", "consumed", "arena", "deadline_s", "priority",
-                 "tenant", "app", "raw", "raw_parts", "row_hint", "result_obj")
+    __slots__ = ("inputs", "event", "consumed", "release", "result", "error",
+                 "trace", "enqueue_s", "delivered_s", "arena", "deadline_s",
+                 "priority", "tenant", "app", "raw", "row_hint", "pre_start",
+                 "pre_end")
 
     def __init__(self, inputs: Optional[np.ndarray],
                  trace: Optional[Tuple[int, int]] = None,
-                 enqueue_s: float = 0.0,
-                 deadline_s: float = float("inf"),
-                 priority: int = 0,
-                 tenant: str = "",
-                 app=None,
-                 raw=None,
-                 row_hint: int = 1):
+                 enqueue_s: float = 0.0, deadline_s: float = float("inf"),
+                 priority: int = 0, tenant: str = "",
+                 app=None, raw=None, row_hint: int = 1):
+        #: DNN input rows; for an app request ``None`` until preprocess ran
+        #: (a proc-pool batch that defers preprocess into the worker process
+        #: parks the raw slot rows here instead)
         self.inputs = inputs
-        self.event = threading.Event()
-        self.result: Optional[np.ndarray] = None
+        #: result-ready / view-consumed signals, allocated only when the
+        #: request is enqueued — an inline-served request has no waiter
+        self.event: Optional[threading.Event] = None
+        self.consumed: Optional[threading.Event] = None
+        #: gives the arena back: sets ``consumed`` for the worker's lease
+        #: barrier, or releases the plan lock an inline serve still holds
+        self.release: Optional[Callable[[], None]] = None
+        #: this request's read-only slice of the batch output; for an app
+        #: request, replaced by the postprocessed answer
+        self.result = None
         self.error: Optional[Exception] = None
         #: (trace_id, parent_span_id) carried from the requesting connection
         self.trace = trace
         self.enqueue_s = enqueue_s
-        #: stamped by the worker when the result view is handed over; lets
-        #: the consumer's respond accounting start at delivery rather than
-        #: at its own wake-up (the gap is thread scheduling, not response)
+        #: stamped when the result is handed over; lets the consumer's
+        #: respond accounting start at delivery rather than at its own
+        #: wake-up (the gap is thread scheduling, not response)
         self.delivered_s = 0.0
         #: absolute monotonic deadline (inf = none), priority class (higher
         #: first), and tenant — consumed by the EDF queue when a scheduling
@@ -140,32 +153,29 @@ class _Pending:
         self.deadline_s = deadline_s
         self.priority = priority
         self.tenant = tenant
-        #: set by the consumer once ``result`` is no longer needed; the
-        #: worker's lease barrier waits on this before reusing the arena
-        self.consumed = threading.Event()
-        #: True when ``result`` is a view of a plan arena (volatile: only
-        #: valid until ``consumed`` is set)
+        #: True when ``result`` is a view of a plan arena or pool slot
+        #: (volatile: only valid until ``release`` is called)
         self.arena = False
         #: app pipeline fields: the TonicApp whose pre/post kernels run
-        #: server-side, the raw payload, the in-slot raw parts a proc-pool
-        #: batch deferred (worker-process preprocess), the submitter's row
-        #: estimate used for assembly before preprocess, and the final
-        #: postprocessed answer delivered to ``submit_app``
+        #: server-side, the raw payload, the submitter's row estimate used
+        #: for assembly before preprocess, and the window in which this
+        #: request's preprocess ran
         self.app = app
         self.raw = raw
-        self.raw_parts: Optional[List[np.ndarray]] = None
         self.row_hint = row_hint
-        self.result_obj = None
+        self.pre_start = 0.0
+        self.pre_end = 0.0
 
 
 class ResultLease:
     """A scatter slice leased to a zero-copy consumer.
 
-    ``outputs`` is a read-only view — of the plan's output slab on the
-    planned path (valid only until :meth:`release`), of a worker-owned batch
-    array on the legacy path.  Always release (or use as a context manager):
-    an unreleased arena lease stalls that model's worker for the barrier
-    timeout.
+    ``outputs`` is a read-only view of the batch result — of a plan's
+    output slab or a pool slot (valid only until :meth:`release`), or of
+    an owned array when the layer cache assembled it.  Always release (or
+    use as a context manager): an unreleased lease stalls the model's
+    worker for the barrier timeout, or pins the plan an inline serve ran
+    on.
     """
 
     __slots__ = ("_pending",)
@@ -179,11 +189,13 @@ class ResultLease:
 
     @property
     def delivered_s(self) -> float:
-        """Worker-side delivery stamp (0.0 until the result is handed out)."""
+        """Delivery stamp (0.0 until the result is handed out)."""
         return self._pending.delivered_s
 
     def release(self) -> None:
-        self._pending.consumed.set()
+        release, self._pending.release = self._pending.release, None
+        if release is not None:
+            release()
 
     def __enter__(self) -> "ResultLease":
         return self
@@ -192,29 +204,33 @@ class ResultLease:
         self.release()
 
 
-class _FastLease:
-    """A fast-path result lease: ``outputs`` views the parent-side plan's
-    output slab, and :meth:`release` returns the plan lock the submitting
-    thread took (instead of signalling a worker's barrier).  Same contract
-    as :class:`ResultLease` from the consumer's point of view."""
+class _BatchRecord:
+    """Every clock stamp one served batch takes, in serve order.
 
-    __slots__ = ("outputs", "delivered_s", "_lock")
+    Filled by the collector, the preprocess stage and ``_serve``; read
+    once by ``_account``, the only place telemetry is derived from it.
+    """
 
-    def __init__(self, outputs: np.ndarray, delivered_s: float, lock):
-        self.outputs = outputs
-        self.delivered_s = delivered_s
-        self._lock = lock
-
-    def release(self) -> None:
-        lock, self._lock = self._lock, None
-        if lock is not None:
-            lock.release()
-
-    def __enter__(self) -> "_FastLease":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
+    #: served on the submitting thread (no queue, no waiters)
+    inline = False
+    #: when policy-driven assembly began (``None`` without a scheduler)
+    collect_start: Optional[float] = None
+    #: when the preprocess stage picked the batch up (0.0 = no stage), and
+    #: whether it deferred the kernels into the pool worker process
+    pre_start = 0.0
+    deferred = False
+    #: assembly start, forward extent, scatter start (after any floor
+    #: pacing), and the app postprocess window (0.0 = no app requests)
+    start = 0.0
+    forward_start = 0.0
+    forward_end = 0.0
+    post_start = 0.0
+    app_start = 0.0
+    app_end = 0.0
+    rows = 0
+    timer: Optional[LayerTimer] = None
+    served = None  # LayerCache.serve outcome when the cache ran
+    lease = None  # pool slot lease when the batch rode the ring
 
 
 class BatchingExecutor:
@@ -231,6 +247,8 @@ class BatchingExecutor:
     #: how long the lease barrier waits for consumers before reclaiming the
     #: arena anyway (a dead consumer must not wedge the worker forever)
     LEASE_TIMEOUT_S = 5.0
+    #: executed batch sizes remembered per model
+    EXECUTED_WINDOW = 4096
 
     def __init__(self, registry: ModelRegistry, policy: BatchPolicy = BatchPolicy(),
                  service_floor_s: float = 0.0,
@@ -238,7 +256,6 @@ class BatchingExecutor:
                  tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  profile_layers: bool = False,
-                 use_plans: bool = True,
                  pool=None,
                  sched=None,
                  latency: Optional[LatencyModel] = None,
@@ -246,17 +263,18 @@ class BatchingExecutor:
         self.registry = registry
         self.policy = policy
         self.service_floor_s = service_floor_s
-        self.use_plans = use_plans
         #: optional :class:`repro.nn.engine.LayerCacheConfig`; when set,
-        #: each worker's plan gains a :class:`LayerCache` and batches are
-        #: served prefix → per-row probe → partial-batch suffix.  ``None``
+        #: each model gains one :class:`LayerCache` and every plan-run batch
+        #: is served prefix → per-row probe → partial-batch suffix.  ``None``
         #: (the default) keeps the execute path bit-for-bit unchanged.
         self.layer_cache = layer_cache
-        #: model -> live LayerCache (populated lazily by workers)
-        self.layer_caches: Dict[str, LayerCache] = {}
+        #: model -> live LayerCache (``None``: the model has no safe split),
+        #: populated by the first plan-run batch
+        self.layer_caches: Dict[str, Optional[LayerCache]] = {}
         #: optional :class:`repro.core.procpool.ProcPoolExecutor`; when set,
-        #: assembled batches execute in a worker *process* (weights in shared
-        #: memory) instead of this thread, and the in-parent plan is skipped
+        #: the worker's batches execute in a worker *process* (weights in
+        #: shared memory) and only inline and oversize batches run on a
+        #: parent-side plan
         self.pool = pool
         self.clock = clock
         self.tracer = tracer if tracer is not None else get_tracer()
@@ -269,6 +287,9 @@ class BatchingExecutor:
         #: measured per-model latency curve driving the adaptive policy;
         #: shared with the owning server/gateway when they pass one in
         self.latency = latency if latency is not None else LatencyModel()
+        self._batch_size = self._expired = None
+        self._stage_seconds = self._fast_hits = None
+        self._layer_cache_events = self._layer_cache_fidelity = None
         if metrics is not None:
             self._batch_size = metrics.histogram(
                 "djinn_batch_size",
@@ -287,33 +308,24 @@ class BatchingExecutor:
                 "Requests served by the batch-1 fast path (no queue handoff).",
                 ("model",))
             self.latency.seed_from_metrics(metrics)
-        else:
-            self._batch_size = None
-            self._expired = None
-            self._stage_seconds = None
-            self._fast_hits = None
-        if metrics is not None and layer_cache is not None:
-            # registered only when the cache is armed so a cache-off
-            # executor's metrics dump stays byte-identical to older builds
-            self._layer_cache_events = metrics.counter(
-                "djinn_layer_cache_events_total",
-                "Layer-cache probe outcomes, per model and event "
-                "(hit|miss|collision).", ("model", "event"))
-            self._layer_cache_fidelity = metrics.gauge(
-                "djinn_layer_cache_fidelity",
-                "Worst accepted hit distance (max |cached - probed| over "
-                "the split activation), per model.", ("model",))
-        else:
-            self._layer_cache_events = None
-            self._layer_cache_fidelity = None
+            if layer_cache is not None:
+                # registered only when the cache is armed so a cache-off
+                # executor's metrics dump stays byte-identical to older builds
+                self._layer_cache_events = metrics.counter(
+                    "djinn_layer_cache_events_total",
+                    "Layer-cache probe outcomes, per model and event "
+                    "(hit|miss|collision).", ("model", "event"))
+                self._layer_cache_fidelity = metrics.gauge(
+                    "djinn_layer_cache_fidelity",
+                    "Worst accepted hit distance (max |cached - probed| over "
+                    "the split activation), per model.", ("model",))
         self._queues: Dict[str, Queue] = {}
         self._workers: Dict[str, threading.Thread] = {}
         self._lock = threading.Lock()
         self._closed = False
-        #: batch sizes actually executed, per model (observability/tests)
-        self.executed_batches: Dict[str, List[int]] = {}
-        #: models whose parent-side plan failed to compile; the fast path
-        #: stops re-trying them (the queue path serves them instead)
+        #: the most recent batch sizes executed, per model (observability/tests)
+        self.executed_batches: Dict[str, Deque[int]] = {}
+        #: test/bench kill switch: models listed here never serve inline
         self._fast_off: set = set()
 
     # ------------------------------------------------------------ lifecycle
@@ -322,15 +334,17 @@ class BatchingExecutor:
             if self._closed:
                 raise RuntimeError("executor is closed")
             if model not in self._queues:
-                self.registry.get(model)  # fail fast on unknown models
+                net = self.registry.get(model)  # fail fast on unknown models
+                # the envelope plan compiles here, on the caller's thread, so
+                # an un-plannable model fails its submitter; with a proc pool
+                # the envelope arena lives in the worker processes instead
+                plan = (self.registry.plan(model, self.policy.max_batch)
+                        if self.pool is None else None)
                 queue = EdfQueue() if self.sched is not None else Queue()
                 self._queues[model] = queue
-                # setdefault: a concurrent batch-1 fast-path hit may already
-                # have recorded rows here before the first enqueue
-                self.executed_batches.setdefault(model, [])
                 worker = threading.Thread(
-                    target=self._run_worker, args=(model, queue), daemon=True,
-                    name=f"djinn-batch-{model}",
+                    target=self._run_worker, args=(model, queue, net, plan),
+                    daemon=True, name=f"djinn-batch-{model}",
                 )
                 self._workers[model] = worker
                 worker.start()
@@ -348,39 +362,39 @@ class BatchingExecutor:
             worker.join(timeout=5.0)
 
     # -------------------------------------------------------------- submit
-    def _enqueue(self, model: str, inputs: Optional[np.ndarray],
-                 trace: Optional[Tuple[int, int]],
-                 qos: Optional[Tuple[float, int, str]] = None,
-                 app=None, raw=None, row_hint: int = 1) -> _Pending:
-        # queue time starts when the caller hands the request over, not
-        # after worker/bookkeeping setup — the gap is queueing, not limbo
-        enqueue_s = self.clock()
-        queue = self._ensure_worker(model)
-        deadline_s, priority, tenant = qos if qos is not None \
-            else (float("inf"), 0, "")
-        # no forced copy: the planned path gathers payloads straight into
-        # the arena, the legacy path concatenates — neither needs contiguity
+    def _submit(self, model: str, inputs: Optional[np.ndarray],
+                trace: Optional[Tuple[int, int]],
+                qos: Optional[Tuple[float, int, str]],
+                app=None, raw=None, row_hint: int = 1) -> _Pending:
+        """Serve one request — inline when the fast path takes it, through
+        the model's queue otherwise — and return it, result attached."""
+        # no forced copy: gather reads payloads straight into the arena
         if inputs is not None:
             inputs = np.asarray(inputs, dtype=np.float32)
-        pending = _Pending(inputs, trace, enqueue_s,
-                           deadline_s=deadline_s, priority=priority,
-                           tenant=tenant, app=app, raw=raw, row_hint=row_hint)
-        queue.put(pending)
-        pending.event.wait()
+        # qos, when given, is exactly (deadline_s, priority, tenant)
+        pending = _Pending(inputs, trace, self.clock(), *(qos or ()),
+                           app=app, raw=raw, row_hint=row_hint)
+        if not self._serve_inline(model, pending):
+            # queue time starts when the caller hands the request over, not
+            # after worker/bookkeeping setup — the gap is queueing, not limbo
+            pending.enqueue_s = self.clock()
+            queue = self._ensure_worker(model)
+            pending.event = threading.Event()
+            pending.consumed = threading.Event()
+            pending.release = pending.consumed.set
+            queue.put(pending)
+            pending.event.wait()
         if pending.error is not None:
-            pending.consumed.set()  # unblock the worker's lease barrier
             raise pending.error
-        assert app is not None or pending.result is not None
         return pending
 
     def submit(self, model: str, inputs: np.ndarray,
                trace: Optional[Tuple[int, int]] = None,
                qos: Optional[Tuple[float, int, str]] = None) -> np.ndarray:
-        """Enqueue ``inputs`` (n, *input_shape); blocks until results ready.
+        """Serve ``inputs`` (n, *input_shape); blocks until results ready.
 
         Returns an array the caller owns: arena-backed slices are copied out
-        (and the lease released) before returning; legacy slices are durable
-        read-only views of the batch output.  ``trace`` is an optional
+        (and the lease released) before returning.  ``trace`` is an optional
         ``(trace_id, parent_span_id)`` pair; when present, the request's
         queue wait and the batch it lands in are recorded as spans of that
         trace.  ``qos`` is an optional ``(deadline_s, priority, tenant)``
@@ -389,30 +403,20 @@ class BatchingExecutor:
         raises :class:`repro.sched.DeadlineExceededError` instead of
         running.
         """
-        fast = self._try_fast(model, inputs=inputs, trace=trace, qos=qos)
-        if fast is not _FAST_MISS:
-            with fast:
-                return fast.outputs.copy()
-        pending = self._enqueue(model, inputs, trace, qos)
-        result = pending.result
-        if pending.arena:
-            result = result.copy()
-        pending.consumed.set()
-        return result
+        pending = self._submit(model, inputs, trace, qos)
+        with ResultLease(pending) as lease:
+            return lease.outputs.copy() if pending.arena else lease.outputs
 
     def submit_lease(self, model: str, inputs: np.ndarray,
                      trace: Optional[Tuple[int, int]] = None,
                      qos: Optional[Tuple[float, int, str]] = None) -> ResultLease:
         """Like :meth:`submit` but zero-copy: returns a :class:`ResultLease`
         whose ``outputs`` view the batch result in place.  The caller must
-        ``release()`` (or exit the context manager) promptly — on the
-        planned path the model's worker holds the arena until then (a fast-
-        path lease holds the parent-side plan instead; same contract).
+        ``release()`` (or exit the context manager) promptly — until then
+        the model's worker (or, for an inline-served request, the plan it
+        ran on) holds the arena.
         """
-        fast = self._try_fast(model, inputs=inputs, trace=trace, qos=qos)
-        if fast is not _FAST_MISS:
-            return fast
-        return ResultLease(self._enqueue(model, inputs, trace, qos))
+        return ResultLease(self._submit(model, inputs, trace, qos))
 
     def submit_app(self, model: str, app, raw,
                    trace: Optional[Tuple[int, int]] = None,
@@ -422,177 +426,58 @@ class BatchingExecutor:
 
         ``raw`` is the decoded application payload (float image(s), audio
         samples, token text); ``app`` supplies the ``preprocess_batch`` /
-        ``postprocess_batch`` kernels, which run batched in the worker
-        context alongside every other coalesced raw request.  Returns the
-        postprocessed application answer (a plain Python object — no
-        arena lease to release).  ``row_hint`` is the submitter's estimate
-        of the DNN rows this payload expands to, used only for batch
-        assembly before preprocess runs.
+        ``postprocess_batch`` kernels, which run batched alongside every
+        other coalesced raw request.  Returns the postprocessed application
+        answer (a plain Python object — no arena lease to release).
+        ``row_hint`` is the submitter's estimate of the DNN rows this
+        payload expands to, used only for batch assembly before preprocess
+        runs.
         """
-        fast = self._try_fast(model, trace=trace, qos=qos, app=app, raw=raw)
-        if fast is not _FAST_MISS:
-            return fast
-        pending = self._enqueue(model, None, trace, qos,
-                                app=app, raw=raw, row_hint=row_hint)
-        pending.consumed.set()  # nothing leased: the worker postprocessed
-        return pending.result_obj
+        return self._submit(model, None, trace, qos, app=app, raw=raw,
+                            row_hint=row_hint).result
 
-    # ----------------------------------------------------------- fast path
-    def _try_fast(self, model: str, inputs: Optional[np.ndarray] = None,
-                  trace: Optional[Tuple[int, int]] = None,
-                  qos: Optional[Tuple[float, int, str]] = None,
-                  app=None, raw=None):
-        """Batch-1 fast path: serve the request inline on the calling thread.
+    def _serve_inline(self, model: str, pending: _Pending) -> bool:
+        """Batch-1 fast path: the guards, then ``_serve`` on this thread.
 
-        When the model's queue is empty and a parent-side plan lock is
-        free, the queue handoff (enqueue, worker wake-up, coalescing
-        window, two context switches) — and, under a proc pool, the slot
-        ring — are pure overhead for a batch of one.  This runs
-        preprocess, the planned forward, and postprocess right here and
-        returns the result: a :class:`_FastLease` for tensor submissions,
-        the postprocessed answer for app submissions.  ``_FAST_MISS``
-        means the caller takes the normal queue path.  It declines
-        whenever inline execution could change semantics: queued work
-        (coalescing wins), a service floor (pacing lives in the worker),
-        an armed fault plan (hook order must stay deterministic per seed),
-        an un-plannable model, or an already-expired deadline (the EDF
-        queue owns typed rejection).
+        ``False`` means declined — the caller enqueues ``pending``, which
+        keeps any rows preprocessed here.  (The module docstring lists why
+        each guard exists.)
         """
-        if (not self.use_plans or self.service_floor_s
-                or faultsite.active is not None or self._closed
-                or self.layer_cache is not None
-                or model in self._fast_off):
-            # (an armed layer cache declines too: probes live in the
-            # worker's serve path and must see every request)
-            return _FAST_MISS
-        if (qos is not None and self.sched is not None
-                and np.isfinite(qos[0]) and self.clock() >= qos[0]):
-            return _FAST_MISS
+        if (self.service_floor_s or faultsite.active is not None
+                or self._closed or model in self._fast_off):
+            return False
+        if self.sched is not None and self.clock() >= pending.deadline_s:
+            return False
         queue = self._queues.get(model)
-        if queue is not None:
-            depth = queue.depth_rows() if isinstance(queue, EdfQueue) \
-                else queue.qsize()
-            if depth:
-                return _FAST_MISS
-        tracer = self.tracer
-        traced = tracer.enabled and trace is not None
-        enter = self.clock()
-        pre_start = pre_end = 0.0
-        if app is not None:
-            # preprocess errors propagate to the submitter as typed
-            # per-request failures, exactly like the queue path's
-            pre_start = self.clock()
-            inputs = app.preprocess(raw)
-            pre_end = self.clock()
-        inputs = np.asarray(inputs, dtype=np.float32)
-        rows = len(inputs)
-        if not rows or rows > self.policy.max_batch:
-            return _FAST_MISS  # oversize rides the legacy stacked path
-        try:
-            plan = self.registry.plan(model, rows)
-        except KeyError:
-            raise  # unknown model: same failure as _ensure_worker's
-        except Exception:
-            self._fast_off.add(model)
-            return _FAST_MISS
-        net = self.registry.get(model)
-        sample_shape = tuple(net.input_shape)
-        if tuple(inputs.shape[1:]) != sample_shape:
-            raise ValueError(
-                f"request payload shape {inputs.shape[1:]} does not match "
-                f"model input shape {sample_shape}")
+        if queue is not None and (queue.depth_rows() if self.sched is not None
+                                  else queue.qsize()):
+            return False
+        rec = _BatchRecord()
+        rec.inline = True
+        batch = self._preprocess_stage(model, [pending], rec)
+        if not batch:
+            return True  # poisoned payload: the typed error is on pending
+        rows = len(pending.inputs)
+        if not 0 < rows <= self.policy.max_batch:
+            return False
+        plan = self.registry.plan(model, rows)
         if not plan.lock.acquire(blocking=False):
-            return _FAST_MISS  # a concurrent batch owns the arena
-        leased = False
+            return False  # a concurrent batch owns the arena
         try:
-            np.copyto(plan.input_view(rows), inputs)
-            timer = (LayerTimer(self.clock)
-                     if traced and self.profile_layers else None)
-            forward_start = self.clock()
-            outputs = plan.execute(rows, timer=timer)
-            forward_end = self.clock()
-            self.latency.observe(model, rows, forward_end - forward_start)
-            self.executed_batches.setdefault(model, []).append(rows)
-            if self._batch_size is not None:
-                self._batch_size.labels(model=model).observe(rows)
-            if self._fast_hits is not None:
-                self._fast_hits.labels(model=model).inc()
-            # the fast path's dispatch work (asarray, plan lookup, lock,
-            # copy-in) is its batch assembly — account it like the worker's
-            # so fast-path traces stay gap-free for the cost ledger
-            assemble_from = pre_end if app is not None else enter
-            stage = self._stage_seconds
-            if stage is not None:
-                stage.labels(model=model, stage="net.forward").inc(
-                    forward_end - forward_start)
-                stage.labels(model=model, stage="batch.assemble").inc(
-                    max(0.0, forward_start - assemble_from))
-            if traced:
-                tid, parent = trace
-                if app is not None:
-                    tracer.add_span("app.preprocess", pre_start, pre_end,
-                                    tid, parent, category="app",
-                                    model=model, rows=rows)
-                tracer.add_span("batch.assemble", assemble_from,
-                                forward_start, tid, parent, category="batch",
-                                batch_size=rows, requests=1)
-                fspan = tracer.add_span("net.forward", forward_start,
-                                        forward_end, tid, parent,
-                                        category="compute", model=model,
-                                        batch_size=rows)
-                if timer is not None:
-                    timer.emit_spans(tracer, tid, fspan.span_id)
-            if app is not None:
-                self.latency.observe(f"{model}:preprocess", rows,
-                                     pre_end - pre_start)
-                if stage is not None:
-                    stage.labels(model=model, stage="preprocess").inc(
-                        pre_end - pre_start)
-                post_start = self.clock()
-                if stage is not None:
-                    stage.labels(model=model, stage="batch.assemble").inc(
-                        max(0.0, post_start - forward_end))
-                if traced:
-                    # post-forward bookkeeping (metrics, span emission) is
-                    # the fast path's batch disassembly — keep it covered
-                    tracer.add_span("batch.scatter", forward_end, post_start,
-                                    tid, parent, category="batch",
-                                    batch_size=rows)
-                result = app.postprocess_batch(outputs, [raw], [rows])[0]
-                post_end = self.clock()
-                self.latency.observe(f"{model}:postprocess", rows,
-                                     post_end - post_start)
-                if stage is not None:
-                    stage.labels(model=model, stage="postprocess").inc(
-                        post_end - post_start)
-                if traced:
-                    tracer.add_span("app.postprocess", post_start, post_end,
-                                    tid, parent, category="app", model=model)
-                return result
-            # a fresh slice view: the read-only flag must not stick to the
-            # plan's own output slab (the next execute writes into it)
-            view = outputs[0:rows]
-            if view.flags.writeable:
-                view.flags.writeable = False  # consumers copy, never mutate
-            delivered = self.clock()
-            if stage is not None:
-                stage.labels(model=model, stage="batch.assemble").inc(
-                    max(0.0, delivered - forward_end))
-            if traced:
-                # post-forward bookkeeping (metrics, span emission, view
-                # hand-out) is the fast path's batch disassembly; respond
-                # accounting takes over at the delivered stamp
-                tracer.add_span("batch.scatter", forward_end, delivered,
-                                tid, parent, category="batch",
-                                batch_size=rows)
-            lease = _FastLease(view, delivered, plan.lock)
-            leased = True  # lock ownership moved into the lease
-            return lease
-        finally:
-            if not leased:
-                plan.lock.release()
+            # this thread's dispatch work (guards, plan lookup, lock) is the
+            # request's batch assembly — keeps inline traces gap-free
+            rec.start = pending.pre_end or pending.enqueue_s
+            self._serve(model, batch, rec, plan)
+        except BaseException:
+            plan.lock.release()
+            raise
+        if pending.arena:
+            pending.release = plan.lock.release  # the lease owns the lock now
+        else:
+            plan.lock.release()
+        return True
 
-    # -------------------------------------------------------------- worker
+    # ------------------------------------------------------------ collecting
     def _collect(self, queue: Queue) -> List[_Pending]:
         """Block for the first request, then coalesce within the window.
 
@@ -623,43 +508,18 @@ class BatchingExecutor:
             rows += item_rows(item)
         return batch
 
-    @staticmethod
-    def _gather(plan, batch: List[_Pending], rows: int,
-                sample_shape: Tuple[int, ...]) -> None:
-        """Copy request payloads into the plan's input slab, in order."""
-        slab = plan.input_view(rows)
-        offset = 0
-        for pending in batch:
-            arr = pending.inputs
-            if tuple(arr.shape[1:]) != sample_shape:
-                # np.copyto would silently broadcast a wrong-width payload;
-                # fail the batch the way np.concatenate would have
-                raise ValueError(
-                    f"request payload shape {arr.shape[1:]} does not match "
-                    f"model input shape {sample_shape}")
-            n = arr.shape[0]
-            np.copyto(slab[offset:offset + n], arr)
-            offset += n
-
     def _active_models(self) -> int:
         """Models with queued work right now (drives co-scheduling)."""
         with self._lock:
             queues = list(self._queues.values())
-        count = 0
-        for queue in queues:
-            if isinstance(queue, EdfQueue) and queue.depth_rows():
-                count += 1
-        return max(count, 1)
+        return max(1, sum(1 for queue in queues if queue.depth_rows()))
 
     def _reject_expired(self, model: str, expired: List[_Pending]) -> None:
         """Deliver typed rejections to requests that died in queue."""
         now = self.clock()
         tracer = self.tracer
         for pending in expired:
-            late = now - pending.deadline_s
-            if not np.isfinite(late):
-                late = 0.0
-            late = max(0.0, late)
+            late = max(0.0, now - pending.deadline_s)
             if tracer.enabled and pending.trace is not None:
                 tid, parent = pending.trace
                 tracer.add_span("sched.expire", pending.enqueue_s, now,
@@ -694,58 +554,52 @@ class BatchingExecutor:
                 return [], collect_start
 
     # ------------------------------------------------------------ app stages
-    def _preprocess_stage(self, model: str, batch: List[_Pending]):
-        """Stage 1 of the app pipeline: batched server-side preprocess.
+    @staticmethod
+    def _by_app(requests: List[_Pending]):
+        """``(app, its requests)`` groups, in first-seen order."""
+        groups: Dict[int, Tuple[object, List[_Pending]]] = {}
+        for p in requests:
+            groups.setdefault(id(p.app), (p.app, []))[1].append(p)
+        return groups.values()
 
-        Runs *before* the plan lock is taken (preprocess needs no arena).
-        Returns ``(batch, pre_start, pre_end, deferred)``: the surviving
-        requests — a poisoned raw payload errors out individually, the
-        rest of the batch proceeds — the stage's extent (``0.0, 0.0`` when
-        the batch carried no raw payloads), and whether preprocessing was
-        deferred into the proc-pool worker process (slot-eligible raw
-        payloads ship as raw parts and are preprocessed in the shm slot).
+    def _preprocess_stage(self, model: str, batch: List[_Pending],
+                          rec: _BatchRecord) -> List[_Pending]:
+        """Batched server-side preprocess of the raw payloads in ``batch``.
+
+        Runs *before* any plan lock is taken (preprocess needs no arena)
+        and skips requests that already carry rows.  Returns the surviving
+        requests: a poisoned raw payload gets its typed ``error`` and drops
+        out, the rest of the batch proceeds.  A worker batch of
+        slot-eligible payloads under a proc pool is *deferred*: the raw
+        items ship as slot rows and the worker process preprocesses them.
         """
-        if not any(p.app is not None for p in batch):
-            return batch, 0.0, 0.0, False
-        pre_start = self.clock()
+        todo = [p for p in batch if p.app is not None and p.inputs is None]
+        if not todo:
+            return batch
+        rec.pre_start = self.clock()
         injector = faultsite.active
         if injector is not None:
-            survivors = []
-            for p in batch:
-                if p.app is None:
-                    survivors.append(p)
-                    continue
+            for p in todo:
                 try:
                     injector.on_preprocess(model)
                 except Exception as exc:
                     p.error = exc
-                    p.event.set()
-                    p.consumed.set()
-                else:
-                    survivors.append(p)
-            batch = survivors
-            if not batch:
-                return batch, pre_start, self.clock(), False
+            todo = [p for p in todo if p.error is None]
+            batch = [p for p in batch if p.error is None]
         pool = self.pool
-        if pool is not None and len(batch) <= pool.max_batch:
-            raw_shape = getattr(pool, "raw_item_shape", lambda m: None)(model)
+        if (pool is not None and not rec.inline
+                and 0 < len(todo) == len(batch) <= pool.max_batch):
+            raw_shape = pool.raw_item_shape(model)
             if raw_shape is not None and all(
-                    p.app is not None and isinstance(p.raw, np.ndarray)
-                    and tuple(p.raw.shape) == raw_shape for p in batch):
-                # preprocess moves into the worker process: each payload
-                # ships as one raw slot part (1 raw item -> 1 DNN row for
-                # slot-eligible shapes), parent-side cost is bookkeeping
-                for p in batch:
-                    p.raw_parts = [np.asarray(p.raw, dtype=np.float32)]
-                return batch, pre_start, self.clock(), True
-        by_app: Dict[int, Tuple[object, List[_Pending]]] = {}
-        for p in batch:
-            if p.app is not None:
-                by_app.setdefault(id(p.app), (p.app, []))[1].append(p)
-        n_raw = 0
-        rows_pre = 0
-        failed = set()
-        for app, group in by_app.values():
+                    isinstance(p.raw, np.ndarray)
+                    and tuple(p.raw.shape) == raw_shape for p in todo):
+                # one raw item -> one slot row -> one DNN row; parent-side
+                # cost is bookkeeping, so no preprocess window is recorded
+                for p in todo:
+                    p.inputs = np.asarray(p.raw, dtype=np.float32)[None]
+                rec.deferred = True
+                return batch
+        for app, group in self._by_app(todo):
             try:
                 inputs, counts = app.preprocess_batch([p.raw for p in group])
                 inputs = np.asarray(inputs, dtype=np.float32)
@@ -762,309 +616,308 @@ class BatchingExecutor:
                                               dtype=np.float32)
                     except Exception as exc:
                         p.error = exc
-                        p.event.set()
-                        p.consumed.set()
-                        failed.add(id(p))
-            for p in group:
-                if id(p) not in failed:
-                    n_raw += 1
-                    rows_pre += len(p.inputs)
-        if failed:
-            batch = [p for p in batch if id(p) not in failed]
         pre_end = self.clock()
-        if rows_pre:
-            self.latency.observe(f"{model}:preprocess", rows_pre,
-                                 pre_end - pre_start)
-        if self._stage_seconds is not None and n_raw:
-            self._stage_seconds.labels(model=model, stage="preprocess").inc(
-                (pre_end - pre_start) * n_raw)
-        tracer = self.tracer
-        if tracer.enabled:
-            for p in batch:
-                if p.app is not None and p.trace is not None:
-                    tid, parent = p.trace
-                    tracer.add_span("app.preprocess", pre_start, pre_end,
-                                    tid, parent, category="app", model=model,
-                                    rows=len(p.inputs))
-        return batch, pre_start, pre_end, False
+        rows = 0
+        for p in todo:
+            if p.error is None:
+                p.pre_start, p.pre_end = rec.pre_start, pre_end
+                rows += len(p.inputs)
+        if rows:
+            self.latency.observe(f"{model}:preprocess", rows,
+                                 pre_end - rec.pre_start)
+        return [p for p in batch if p.error is None]
 
-    def _postprocess_stage(self, model: str, batch: List[_Pending]) -> None:
-        """Stage 3 of the app pipeline: batched postprocess.
+    def _postprocess_stage(self, model: str, batch: List[_Pending],
+                           rec: _BatchRecord) -> None:
+        """Batched postprocess: app waiters get their final answer.
 
-        App waiters receive their final application answer instead of an
-        arena view — the view is consumed *here*, worker-side, so those
-        waiters never participate in the lease barrier.  A failing
-        postprocess falls back to the per-item loop so only the offending
-        request errors.
+        The result view is consumed *here*, so app waiters never hold an
+        arena lease.  A failing postprocess falls back to the per-item loop
+        so only the offending request errors.
         """
         apps = [p for p in batch if p.app is not None]
         if not apps:
             return
-        post_start = self.clock()
-        by_app: Dict[int, Tuple[object, List[_Pending]]] = {}
-        for p in apps:
-            by_app.setdefault(id(p.app), (p.app, []))[1].append(p)
-        rows_post = 0
-        for app, group in by_app.values():
+        rec.app_start = self.clock()
+        for app, group in self._by_app(apps):
             views = [p.result for p in group]
-            counts = [len(view) for view in views]
             block = views[0] if len(views) == 1 \
                 else np.concatenate(views, axis=0)
             try:
                 results = app.postprocess_batch(
-                    block, [p.raw for p in group], counts)
+                    block, [p.raw for p in group], [len(v) for v in views])
                 for p, result in zip(group, results):
-                    p.result_obj = result
+                    p.result = result
             except Exception:
                 for p, view in zip(group, views):
                     try:
-                        p.result_obj = app.postprocess(view, p.raw)
+                        p.result = app.postprocess(view, p.raw)
                     except Exception as exc:
                         p.error = exc
-            rows_post += sum(counts)
-        post_end = self.clock()
+        rec.app_end = self.clock()
         for p in apps:
-            p.result = None
-            p.arena = False
-            p.delivered_s = post_end
-            p.consumed.set()  # arena claim released worker-side
-        self.latency.observe(f"{model}:postprocess", rows_post,
-                             post_end - post_start)
-        if self._stage_seconds is not None:
-            self._stage_seconds.labels(model=model, stage="postprocess").inc(
-                (post_end - post_start) * len(apps))
-        tracer = self.tracer
-        if tracer.enabled:
-            for p in apps:
-                if p.trace is not None:
-                    tid, parent = p.trace
-                    tracer.add_span("app.postprocess", post_start, post_end,
-                                    tid, parent, category="app", model=model)
+            p.arena = False  # the answer is an owned object, not a view
+        self.latency.observe(f"{model}:postprocess",
+                             sum(len(p.inputs) for p in apps),
+                             rec.app_end - rec.app_start)
 
-    def _run_worker(self, model: str, queue) -> None:
-        net = self.registry.get(model)
-        tracer = self.tracer
-        plan = None
-        if self.use_plans and self.pool is None:
-            # with a proc pool the arena lives in the worker process; no
-            # parent-side plan (and no parent-side arena allocation) needed
-            try:
-                plan = self.registry.plan(model, self.policy.max_batch)
-            except Exception:  # un-plannable nets serve via the legacy path
-                plan = None
-        cache = None
-        if plan is not None and self.layer_cache is not None:
+    # ------------------------------------------------------- the one forward
+    def _layer_cache_for(self, model: str, plan) -> Optional[LayerCache]:
+        """The model's layer cache (built on first use), or ``None``."""
+        if self.layer_cache is None:
+            return None
+        try:
+            return self.layer_caches[model]
+        except KeyError:
             try:
                 cache = LayerCache.from_config(plan, self.layer_cache)
             except PlanError:  # no safe split: serve uncached
                 cache = None
+            return self.layer_caches.setdefault(model, cache)
+
+    def _serve(self, model: str, batch: List[_Pending], rec: _BatchRecord,
+               plan) -> None:
+        """Serve one assembled batch: gather → forward → scatter → post.
+
+        ``plan`` is the :class:`ExecutionPlan` to run on, its lock held by
+        the caller — or ``None`` to ride a proc-pool slot (the lease lands
+        in ``rec.lease``; the caller releases it).  Raises on failure; the
+        caller owns delivery of the error.
+        """
+        clock = self.clock
+        if faultsite.active is not None:
+            faultsite.active.on_batch(model)
+        rec.start = rec.start or clock()
+        rows = rec.rows = sum(len(p.inputs) for p in batch)
+        if plan is not None:
+            sample_shape = tuple(plan.net.input_shape)
+            slab = plan.input_view(rows)
+            offset = 0
+            for p in batch:
+                arr = p.inputs
+                if tuple(arr.shape[1:]) != sample_shape:
+                    # np.copyto would silently broadcast a wrong-width payload
+                    raise ValueError(
+                        f"request payload shape {arr.shape[1:]} does not "
+                        f"match model input shape {sample_shape}")
+                np.copyto(slab[offset:offset + len(arr)], arr)
+                offset += len(arr)
+        if (self.profile_layers and self.tracer.enabled
+                and any(p.trace is not None for p in batch)):
+            rec.timer = LayerTimer(clock)
+        rec.forward_start = clock()
+        if plan is None:
+            # gather happens directly into the shm slot; the result stays
+            # pinned there under the lease until every waiter has consumed
+            # its view.  A deferred batch ships *raw* rows: the worker
+            # process preprocesses in-slot before its forward.
+            rec.lease = self.pool.submit_parts(
+                model, [p.inputs for p in batch], raw=rec.deferred)
+            outputs = rec.lease.outputs
+        else:
+            cache = self._layer_cache_for(model, plan)
+            if cache is not None:
+                rec.served = cache.serve(rows, timer=rec.timer, clock=clock,
+                                         plan=plan)
+                outputs = rec.served.outputs
             else:
-                self.layer_caches[model] = cache
-        sample_shape = tuple(net.input_shape)
+                outputs = plan.execute(rows, timer=rec.timer)
+        rec.forward_end = clock()
+        if self.service_floor_s:
+            # pace before scatter so the paced idle stays out of every span
+            # (it is injected device time, honestly left unattributed)
+            remaining = self.service_floor_s - (clock() - rec.start)
+            if remaining > 0:
+                time.sleep(remaining)
+        rec.post_start = clock()
+        # cache-served outputs are an owned assembled array, not arena
+        # slabs — those views stay durable past the lease
+        arena = rec.served is None
+        offset = 0
+        for p in batch:
+            n = len(p.inputs)
+            # a fresh slice per waiter: the read-only flag must not stick
+            # to the plan's own output slab (the next execute writes it)
+            view = outputs[offset:offset + n]
+            if view.flags.writeable:
+                view.flags.writeable = False  # consumers copy, never mutate
+            p.result = view
+            p.arena = arena
+            offset += n
+        self._postprocess_stage(model, batch, rec)
+        self._account(model, batch, rec)
+
+    def _account(self, model: str, batch: List[_Pending],
+                 rec: _BatchRecord) -> None:
+        """Derive all telemetry for one served batch from its record.
+
+        Stages are exclusive and request-weighted (each waiter experienced
+        the assemble and the forward; queue time is summed per request),
+        matching the cost ledger: the policy wait goes to ``sched.wait``
+        not ``backend.queue`` too, the layer-cache probe window moves from
+        ``net.forward`` into ``engine.cache``.  Everything from scatter
+        start to the delivery stamp taken here — view hand-out and this
+        accounting itself — is ``batch.scatter``, split around the app
+        postprocess window; respond accounting takes over at the stamp.
+        """
+        n = len(batch)
+        rows = rec.rows
+        forward_s = rec.forward_end - rec.forward_start
+        # refine the measured latency curve on every executed batch
+        self.latency.observe(model, rows, forward_s)
+        sizes = self.executed_batches.get(model)
+        if sizes is None:
+            sizes = self.executed_batches.setdefault(
+                model, deque(maxlen=self.EXECUTED_WINDOW))
+        sizes.append(rows)
+        served = rec.served
+        probe_s = 0.0 if served is None else max(
+            0.0, min(forward_s, served.probe_end - served.probe_start))
+        # with a preprocess stage in front, queueing ends when preprocess
+        # picks the batch up — the stages stay exclusive
+        queue_end = rec.pre_start or rec.start
+        collect_start = rec.collect_start
+        tracer = self.tracer
+        traced = ([p for p in batch if p.trace is not None]
+                  if tracer.enabled else ())
+        for p in traced:
+            tid, parent = p.trace
+            if not rec.inline:
+                qspan = tracer.add_span("backend.queue", p.enqueue_s,
+                                        queue_end, tid, parent,
+                                        category="queue", model=model)
+                if collect_start is not None:
+                    wait_from = max(p.enqueue_s, collect_start)
+                    if queue_end > wait_from:
+                        tracer.add_span("sched.wait", wait_from, queue_end,
+                                        tid, qspan.span_id,
+                                        category="sched", model=model)
+            if p.pre_end:
+                tracer.add_span("app.preprocess", p.pre_start, p.pre_end,
+                                tid, parent, category="app", model=model,
+                                rows=len(p.inputs))
+            tracer.add_span("batch.assemble", rec.start, rec.forward_start,
+                            tid, parent, category="batch",
+                            batch_size=rows, requests=n)
+            fspan = tracer.add_span("net.forward", rec.forward_start,
+                                    rec.forward_end, tid, parent,
+                                    category="compute", model=model,
+                                    batch_size=rows)
+            if served is not None:
+                # nested child of net.forward: the cost ledger's
+                # deepest-span-wins sweep carves the probe window out of
+                # the forward's exclusive time
+                tracer.add_span("engine.cache", served.probe_start,
+                                served.probe_end, tid, fspan.span_id,
+                                category="compute", model=model,
+                                hits=served.hits, misses=served.misses)
+            if rec.timer is not None:
+                rec.timer.emit_spans(tracer, tid, fspan.span_id)
+            if p.app is not None:
+                tracer.add_span("app.postprocess", rec.app_start,
+                                rec.app_end, tid, parent, category="app",
+                                model=model)
+        stage = self._stage_seconds
+        if stage is not None:
+            self._batch_size.labels(model=model).observe(rows)
+            if rec.inline:
+                self._fast_hits.labels(model=model).inc()
+            else:
+                queue_s = wait_s = 0.0
+                for p in batch:
+                    waited = max(0.0, queue_end - p.enqueue_s)
+                    if collect_start is not None:
+                        policy = max(0.0, queue_end
+                                     - max(p.enqueue_s, collect_start))
+                        wait_s += policy
+                        waited -= policy
+                    queue_s += waited
+                if wait_s > 0:
+                    stage.labels(model=model, stage="sched.wait").inc(wait_s)
+                stage.labels(model=model, stage="backend.queue").inc(queue_s)
+            pre_s = sum(p.pre_end - p.pre_start for p in batch)
+            if pre_s:
+                stage.labels(model=model, stage="preprocess").inc(pre_s)
+            if served is not None:
+                stage.labels(model=model, stage="engine.cache").inc(
+                    probe_s * n)
+                events = self._layer_cache_events
+                for event, count in (("hit", served.hits),
+                                     ("miss", served.misses),
+                                     ("collision", served.collisions)):
+                    if count:
+                        events.labels(model=model, event=event).inc(count)
+                self._layer_cache_fidelity.labels(model=model).set(
+                    served.fidelity_max)
+            stage.labels(model=model, stage="net.forward").inc(
+                (forward_s - probe_s) * n)
+            if rec.app_end:
+                stage.labels(model=model, stage="postprocess").inc(
+                    (rec.app_end - rec.app_start)
+                    * sum(1 for p in batch if p.app is not None))
+        delivered = self.clock()
+        for p in batch:
+            p.delivered_s = delivered
+        for p in traced:
+            tid, parent = p.trace
+            tracer.add_span("batch.scatter", rec.post_start,
+                            rec.app_start or delivered, tid, parent,
+                            category="batch", batch_size=rows)
+            if rec.app_end:
+                tracer.add_span("batch.scatter", rec.app_end, delivered,
+                                tid, parent, category="batch",
+                                batch_size=rows)
+        if stage is not None:
+            stage.labels(model=model, stage="batch.assemble").inc(
+                ((rec.forward_start - rec.start)
+                 + (delivered - rec.post_start)
+                 - (rec.app_end - rec.app_start)) * n)
+
+    # -------------------------------------------------------------- worker
+    def _run_worker(self, model: str, queue, net, envelope) -> None:
+        pool = self.pool
         while True:
-            collect_start = 0.0
+            rec = _BatchRecord()
             if self.sched is not None:
-                batch, collect_start = self._collect_sched(model, queue)
+                batch, rec.collect_start = self._collect_sched(model, queue)
             else:
                 batch = self._collect(queue)
             if not batch:
                 return
-            batch, pre_start, pre_end, deferred = \
-                self._preprocess_stage(model, batch)
+            collected = batch
+            batch = self._preprocess_stage(model, batch, rec)
+            for p in collected:
+                if p.error is not None:
+                    p.event.set()  # poisoned payloads fail on their own
             if not batch:
-                continue  # every raw payload in the batch was poisoned
-            had_pre = pre_end > 0.0
-            rows = sum(len(p.raw_parts) if p.inputs is None else len(p.inputs)
-                       for p in batch)
-            # _collect admits one oversize request past max_batch; those
-            # batches overflow the arena (or pool slot) and take the legacy
-            # stacked path
-            use_pool = self.pool is not None and rows <= self.pool.max_batch
-            use_plan = plan is not None and rows <= plan.max_batch
-            lease = None
-            if use_plan:
-                plan.lock.acquire()
+                continue
+            rows = sum(len(p.inputs) for p in batch)
+            plan = None
             try:
-                if faultsite.active is not None:
-                    faultsite.active.on_batch(model)
-                start = self.clock()
-                # with an app preprocess stage in front, queueing ends when
-                # preprocess picks the request up — the stages stay exclusive
-                queue_end = pre_start if had_pre else start
-                traced = ([p for p in batch if p.trace is not None]
-                          if tracer.enabled else [])
-                for pending in traced:
-                    tid, parent = pending.trace
-                    qspan = tracer.add_span("backend.queue", pending.enqueue_s,
-                                            queue_end, tid, parent,
-                                            category="queue", model=model)
-                    if self.sched is not None:
-                        wait_from = max(pending.enqueue_s, collect_start)
-                        if queue_end > wait_from:
-                            tracer.add_span("sched.wait", wait_from, queue_end,
-                                            tid, qspan.span_id,
-                                            category="sched", model=model)
-                if use_plan:
-                    self._gather(plan, batch, rows, sample_shape)
-                elif not use_pool:
-                    stacked = np.concatenate([p.inputs for p in batch], axis=0)
-                timer = (LayerTimer(self.clock)
-                         if traced and self.profile_layers else None)
-                served = None
-                forward_start = self.clock()
-                if use_plan:
-                    if cache is not None:
-                        served = cache.serve(rows, timer=timer,
-                                             clock=self.clock)
-                        outputs = served.outputs
-                    else:
-                        outputs = plan.execute(rows, timer=timer)
-                elif use_pool:
-                    # gather happens directly into the shm slot; the result
-                    # stays pinned there under the lease until every waiter
-                    # has consumed its view.  A deferred batch ships *raw*
-                    # parts: the worker process preprocesses in-slot before
-                    # its forward (stage 1 parallelism across pool workers).
-                    if deferred:
-                        lease = self.pool.submit_parts(
-                            model,
-                            [part for p in batch for part in p.raw_parts],
-                            raw=True)
-                    else:
-                        lease = self.pool.submit_parts(
-                            model, [p.inputs for p in batch])
-                    outputs = lease.outputs
-                else:
-                    outputs = net.forward(stacked, timer=timer)
-                forward_end = self.clock()
-                if self.service_floor_s:
-                    # pace before the post-forward accounting so the paced
-                    # idle stays out of the scatter span (it is injected
-                    # device time, honestly left unattributed)
-                    remaining = self.service_floor_s - (self.clock() - start)
-                    if remaining > 0:
-                        time.sleep(remaining)
-                post_start = self.clock()
-                # refine the measured latency curve on every executed batch
-                self.latency.observe(model, rows, forward_end - forward_start)
-                for pending in traced:
-                    # assemble emitted late so its extent can run right up to
-                    # the forward (gather + timer setup, gap-free)
-                    tid, parent = pending.trace
-                    tracer.add_span("batch.assemble", start, forward_start,
-                                    tid, parent, category="batch",
-                                    batch_size=rows, requests=len(batch))
-                    fspan = tracer.add_span("net.forward", forward_start,
-                                            forward_end, tid, parent,
-                                            category="compute", model=model,
-                                            batch_size=rows)
-                    if served is not None:
-                        # nested child of net.forward: the cost ledger's
-                        # deepest-span-wins sweep carves the probe window
-                        # out of the forward's exclusive time
-                        tracer.add_span("engine.cache", served.probe_start,
-                                        served.probe_end, tid, fspan.span_id,
-                                        category="compute", model=model,
-                                        hits=served.hits,
-                                        misses=served.misses)
-                    if timer is not None:
-                        timer.emit_spans(tracer, tid, fspan.span_id)
-                self.executed_batches[model].append(rows)
-                if self._batch_size is not None:
-                    self._batch_size.labels(model=model).observe(rows)
-                offset = 0
-                for pending in batch:
-                    n = (len(pending.raw_parts) if pending.inputs is None
-                         else len(pending.inputs))
-                    view = outputs[offset:offset + n]
-                    if view.flags.writeable:
-                        view.flags.writeable = False  # consumers copy, never mutate
-                    # cache-served outputs are an owned assembled array, not
-                    # arena slabs — the views stay durable past the barrier
-                    pending.arena = ((use_plan and served is None)
-                                     or lease is not None)
-                    pending.result = view
-                    offset += n
-                if served is not None:
-                    ev = self._layer_cache_events
-                    if ev is not None:
-                        if served.hits:
-                            ev.labels(model=model, event="hit").inc(
-                                served.hits)
-                        if served.misses:
-                            ev.labels(model=model, event="miss").inc(
-                                served.misses)
-                        if served.collisions:
-                            ev.labels(model=model, event="collision").inc(
-                                served.collisions)
-                        self._layer_cache_fidelity.labels(model=model).set(
-                            served.fidelity_max)
-                if self._stage_seconds is not None:
-                    # request-weighted: each waiter experienced the assemble
-                    # and forward; queue time is summed per request.  Stages
-                    # are exclusive (matching the cost ledger): the policy
-                    # wait slice goes to sched.wait, not backend.queue too.
-                    stage = self._stage_seconds
-                    if self.sched is not None and collect_start:
-                        queue_s = sum(
-                            max(0.0, min(queue_end, collect_start)
-                                - p.enqueue_s)
-                            for p in batch)
-                        wait_s = sum(
-                            max(0.0, queue_end - max(p.enqueue_s, collect_start))
-                            for p in batch)
-                        if wait_s > 0:
-                            stage.labels(model=model, stage="sched.wait").inc(wait_s)
-                    else:
-                        queue_s = sum(max(0.0, queue_end - p.enqueue_s)
-                                      for p in batch)
-                    stage.labels(model=model, stage="backend.queue").inc(queue_s)
-                    forward_s = forward_end - forward_start
-                    if served is not None:
-                        # stages stay exclusive: the probe window moves from
-                        # net.forward into engine.cache
-                        probe_s = max(0.0, min(forward_s,
-                                               served.probe_end
-                                               - served.probe_start))
-                        forward_s -= probe_s
-                        stage.labels(model=model, stage="engine.cache").inc(
-                            probe_s * len(batch))
-                    stage.labels(model=model, stage="net.forward").inc(
-                        forward_s * len(batch))
-                delivered = self.clock()
-                for pending in batch:
-                    pending.delivered_s = delivered
-                for pending in traced:
-                    # batch disassembly: accounting + handing each waiter its
-                    # result view, the tail of the batching overhead
-                    tid, parent = pending.trace
-                    tracer.add_span("batch.scatter", post_start, delivered,
-                                    tid, parent, category="batch",
-                                    batch_size=rows)
-                if self._stage_seconds is not None:
-                    self._stage_seconds.labels(
-                        model=model, stage="batch.assemble").inc(
-                        ((forward_start - start) + (delivered - post_start))
-                        * len(batch))
-                self._postprocess_stage(model, batch)
+                if pool is None or rows > pool.max_batch:
+                    # _collect admits one oversize request past max_batch;
+                    # a batch overflowing the envelope (or the pool slot)
+                    # runs on a throw-away plan compiled for its row count
+                    plan = (envelope if envelope is not None
+                            and rows <= envelope.max_batch
+                            else ExecutionPlan(net, rows))
+                    plan.lock.acquire()
+                self._serve(model, batch, rec, plan)
             except Exception as exc:  # deliver failures to every waiter
-                for pending in batch:
-                    pending.error = exc
-                    pending.consumed.set()  # nothing leased on failure
+                for p in batch:
+                    p.error = exc
             finally:
-                for pending in batch:
-                    pending.event.set()
-                if use_plan or lease is not None:
-                    # lease barrier: the arena / shm slot is about to be
-                    # reused, so wait until every consumer has
-                    # copied/serialized its view
-                    deadline = time.monotonic() + self.LEASE_TIMEOUT_S
-                    try:
-                        for pending in batch:
-                            pending.consumed.wait(
-                                timeout=max(0.0, deadline - time.monotonic()))
-                    finally:
-                        if use_plan:
-                            plan.lock.release()
-                        if lease is not None:
-                            lease.release()
+                for p in batch:
+                    p.event.set()
+                # lease barrier: the arena / shm slot is about to be
+                # reused, so wait until every consumer has
+                # copied/serialized its view
+                deadline = time.monotonic() + self.LEASE_TIMEOUT_S
+                for p in batch:
+                    if p.arena and p.error is None:
+                        p.consumed.wait(
+                            timeout=max(0.0, deadline - time.monotonic()))
+                if plan is not None:
+                    plan.lock.release()
+                if rec.lease is not None:
+                    rec.lease.release()

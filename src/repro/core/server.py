@@ -276,11 +276,14 @@ class DjinnServer(TcpServiceBase):
         carry trained featurizer state and must be passed explicitly.
     layer_cache:
         Optional :class:`repro.nn.engine.LayerCacheConfig` arming the
-        engine-level activation cache: each batching worker's plan serves
-        prefix → per-row digest probe → partial-batch suffix, memoizing
-        suffix outputs for duplicate (or, with a tolerance, near-duplicate)
-        inputs.  Requires ``batching``; ``None`` (default) keeps the
-        forward path bit-for-bit unchanged.
+        engine-level activation cache, one per model: every batch the
+        executor runs on a parent-side plan serves prefix → per-row digest
+        probe → partial-batch suffix, memoizing suffix outputs for
+        duplicate (or, with a tolerance, near-duplicate) inputs.  With
+        ``workers="proc:N"`` that is the inline-served and oversize
+        batches only — pool-slot batches cannot probe.  Requires
+        ``batching``; ``None`` (default) keeps the forward path
+        bit-for-bit unchanged.
     """
 
     #: pool batch envelope when serving without a batching policy — single

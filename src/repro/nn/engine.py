@@ -692,12 +692,15 @@ class LayerCache:
                     "fidelity_max": self.fidelity_max}
 
     # -------------------------------------------------------------- serve
-    def serve(self, n: int, timer=None, clock=None) -> _CacheServe:
+    def serve(self, n: int, timer=None, clock=None, plan=None) -> _CacheServe:
         """Serve the gathered batch of ``n`` rows through the cache.
 
         Caller contract matches ``execute``: inputs are already in the
-        input slab and the plan lock is held.  Runs the prefix for all
-        rows, probes per row, then one partial-batch suffix for the misses
+        input slab and the plan lock is held.  ``plan`` is the plan the
+        caller holds — any plan compiled for the same net (entries are
+        activations and output rows, not arena state, so the cache is per
+        model); it defaults to the construction plan.  Runs the prefix for
+        all rows, probes per row, then one partial-batch suffix for the misses
         (at the miss count's width — BLAS may reassociate differently than
         an ``n``-wide pass, which is the same per-composition caveat the
         batching executor already documents).  Returns owned, read-only
@@ -706,14 +709,14 @@ class LayerCache:
         import time as _time
 
         clock = clock or _time.monotonic
-        plan = self.plan
+        plan = plan if plan is not None else self.plan
         k = self.split
         plan.execute_range(n, 0, k + 1, timer=timer)
         views = plan._views_for(n)
         probe_start = clock()
         acts = views.tops[self.top]
         keys = [self.digest(acts[i]) for i in range(n)]
-        hits_before, coll_before = self.hits, self.collisions
+        coll_before = self.collisions
         cached: List[Optional[np.ndarray]] = [
             self.probe(keys[i], acts[i]) for i in range(n)]
         miss_rows = [i for i in range(n) if cached[i] is None]
@@ -736,7 +739,7 @@ class LayerCache:
         outputs.flags.writeable = False
         return _CacheServe(
             outputs,
-            hits=self.hits - hits_before,
+            hits=n - len(miss_rows),
             misses=len(miss_rows),
             collisions=self.collisions - coll_before,
             fidelity_max=self.fidelity_max,

@@ -1,0 +1,282 @@
+"""The executor's one forward path, entered from its two callers.
+
+``BatchingExecutor._serve`` runs on the model's worker thread and — for a
+batch of one on an idle model — on the submitting thread.  These tests pin
+what has to hold across that product: the layer cache composes with the
+inline call, both callers account a request the same way, the inline call
+leaves nothing growing behind it, and a declined inline attempt never
+repeats work.
+"""
+
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from repro.core import BatchingExecutor, BatchPolicy, ModelRegistry
+from repro.core.procpool import ProcPoolExecutor
+from repro.models import lenet5
+from repro.nn import LayerCacheConfig
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
+from repro.tonic import DigApp, digit_dataset
+
+MODEL = "dig"
+
+
+@pytest.fixture(scope="module")
+def registry():
+    reg = ModelRegistry()
+    reg.register_spec(MODEL, lenet5(), seed=0)
+    yield reg
+    reg.close_shm()
+
+
+@pytest.fixture(scope="module")
+def raws():
+    images, _ = digit_dataset(8, seed=11)
+    return images  # (8, 1, 28, 28) float32; a raw payload is 1..8 images
+
+
+def _tensor(seed, rows=1):
+    gen = np.random.default_rng(seed)
+    return gen.standard_normal((rows, 1, 32, 32)).astype(np.float32)
+
+
+def _executor(registry, *, cache=False, tracer=None, pool=None, metrics=None,
+              policy=BatchPolicy(max_batch=8, timeout_ms=2.0)):
+    return BatchingExecutor(
+        registry, policy, metrics=metrics or MetricsRegistry(), tracer=tracer,
+        pool=pool,
+        layer_cache=LayerCacheConfig(max_entries=64) if cache else None)
+
+
+def _value(family, **labels):
+    return family.labels(**labels).value
+
+
+def _stages(executor):
+    """``{stage: seconds}`` from ``djinn_stage_seconds_total``."""
+    return {key[1]: child.value
+            for key, child in executor._stage_seconds.children()}
+
+
+# ---------------------------------------------------- layer cache x fast path
+class TestLayerCacheComposesWithFastPath:
+    def test_idle_model_probes_the_cache_inline(self, registry):
+        """An armed layer cache no longer switches the fast path off: an
+        idle model serves inline *and* probes, cold and warm answers are
+        byte-identical to a cache-off executor's."""
+        tracer = Tracer(enabled=True)
+        cached = _executor(registry, cache=True, tracer=tracer)
+        plain_metrics = MetricsRegistry()
+        plain = _executor(registry, metrics=plain_metrics)
+        x = _tensor(5)
+        try:
+            want = plain.submit(MODEL, x)
+            cold = cached.submit(MODEL, x, trace=(1, 1))
+            warm = cached.submit(MODEL, x, trace=(2, 1))
+            assert cold.tobytes() == want.tobytes()
+            assert warm.tobytes() == want.tobytes()
+            assert _value(cached._fast_hits, model=MODEL) == 2
+            events = cached._layer_cache_events
+            assert _value(events, model=MODEL, event="miss") == 1
+            assert _value(events, model=MODEL, event="hit") == 1
+            probes = [s for s in tracer.spans() if s.name == "engine.cache"]
+            assert len(probes) == 2
+            assert not cached._workers, "no worker was ever woken"
+            assert not any(name.startswith("djinn_layer_cache")
+                           for name in plain_metrics.dump()["metrics"])
+        finally:
+            cached.close()
+            plain.close()
+
+    def test_cache_is_per_model_across_plans(self, registry):
+        """An entry inserted by the inline call (a 1-row plan) is a hit for
+        the worker's envelope plan, and the other way round."""
+        executor = _executor(registry, cache=True)
+        x = _tensor(6)
+        try:
+            inline = executor.submit(MODEL, x)           # miss, 1-row plan
+            executor._fast_off.add(MODEL)
+            queued = executor.submit(MODEL, x)           # hit, envelope plan
+            y = _tensor(7)
+            first = executor.submit(MODEL, y)            # miss, envelope plan
+            executor._fast_off.clear()
+            again = executor.submit(MODEL, y)            # hit, 1-row plan
+            assert queued.tobytes() == inline.tobytes()
+            assert again.tobytes() == first.tobytes()
+            events = executor._layer_cache_events
+            assert _value(events, model=MODEL, event="miss") == 2
+            assert _value(events, model=MODEL, event="hit") == 2
+            assert len(executor.layer_caches) == 1
+        finally:
+            executor.close()
+
+    def test_armed_under_a_proc_pool(self, registry):
+        """``workers=proc:N`` + layer cache: inline-served requests probe
+        (and hit) on the parent-side plan; pool-slot batches cannot — they
+        still answer byte-identically, they just never touch the cache."""
+        pool = ProcPoolExecutor(registry, workers=1, max_batch=8)
+        executor = _executor(registry, cache=True, pool=pool)
+        net = registry.get(MODEL)
+        x = _tensor(8)
+        try:
+            cold = executor.submit(MODEL, x)
+            warm = executor.submit(MODEL, x)
+            assert cold.tobytes() == net.forward(x).tobytes()
+            assert warm.tobytes() == cold.tobytes()
+            events = executor._layer_cache_events
+            assert _value(events, model=MODEL, event="miss") == 1
+            assert _value(events, model=MODEL, event="hit") == 1
+            executor._fast_off.add(MODEL)   # force the slot ring
+            ring = executor.submit(MODEL, x)
+            assert ring.tobytes() == cold.tobytes()
+            assert _value(events, model=MODEL, event="hit") == 1
+            assert _value(events, model=MODEL, event="miss") == 1
+        finally:
+            executor.close()
+            pool.close()
+
+
+# ------------------------------------------------ submitter / worker parity
+DIG_APP = DigApp(backend=None)
+
+
+def _submit(executor, kind, payload, trace=None):
+    """``(answer, wall seconds of the executor call alone)``."""
+    start = time.monotonic()
+    if kind == "app":
+        answer = executor.submit_app(MODEL, DIG_APP, payload, trace=trace)
+        return answer, time.monotonic() - start
+    with executor.submit_lease(MODEL, payload, trace=trace) as lease:
+        wall = time.monotonic() - start
+        return lease.outputs.copy(), wall
+
+
+@pytest.mark.parametrize("cache", [False, True], ids=["plain", "layer_cache"])
+@pytest.mark.parametrize("kind", ["tensor", "app"])
+def test_both_callers_account_a_request_alike(registry, raws, kind, cache):
+    """The same request served on the submitting thread and via the worker
+    (forced with the ``_fast_off`` kill switch): same answer, same span
+    names and stage labels but for the queue's, and on both the stage
+    seconds add up to the wall time measured around the call."""
+    seen = {}
+    for caller in ("inline", "worker"):
+        tracer = Tracer(enabled=True)
+        # a long window (requests fill half the envelope, so the collector
+        # waits it out) makes the worker path's fixed costs — the waiter's
+        # wake-up after delivery — small against the wall compared with
+        executor = _executor(registry, cache=cache, tracer=tracer,
+                             policy=BatchPolicy(max_batch=16, timeout_ms=20.0))
+        if caller == "worker":
+            executor._fast_off.add(MODEL)
+        # 8-row requests: the forward dwarfs the few microseconds either
+        # caller spends outside any stage (call entry, lease hand-off)
+        payloads = ([np.roll(raws, i, axis=0) for i in range(6)]
+                    if kind == "app"
+                    else [_tensor(20 + i, rows=8) for i in range(6)])
+        try:
+            _submit(executor, kind, payloads[0])  # compile plans, build cache
+            before = sum(_stages(executor).values())
+            wall = 0.0
+            answers = []
+            for i, payload in enumerate(payloads):
+                answer, took = _submit(executor, kind, payload,
+                                       trace=(100 + i, 1))
+                answers.append(answer)
+                wall += took
+            stage_s = sum(_stages(executor).values()) - before
+            fast = _value(executor._fast_hits, model=MODEL)
+        finally:
+            executor.close()
+        assert fast == (len(payloads) + 1 if caller == "inline" else 0)
+        assert abs(stage_s - wall) <= 0.05 * wall, (caller, stage_s, wall)
+        seen[caller] = {
+            "answers": answers,
+            "spans": {s.name for s in tracer.spans()},
+            "stages": set(_stages(executor)),
+        }
+    inline, worker = seen["inline"], seen["worker"]
+    for got, want in zip(inline["answers"], worker["answers"]):
+        if kind == "app":
+            assert got == want
+        else:
+            assert got.tobytes() == want.tobytes()
+    assert worker["spans"] - inline["spans"] == {"backend.queue"}
+    assert inline["spans"] <= worker["spans"]
+    expected = {"batch.assemble", "net.forward", "batch.scatter"}
+    if kind == "app":
+        expected |= {"app.preprocess", "app.postprocess"}
+    if cache:
+        expected |= {"engine.cache"}
+    assert inline["spans"] == expected
+    # the stage counters follow the spans: an inline request never queued
+    assert worker["stages"] - inline["stages"] == {"backend.queue"}
+    assert inline["stages"] <= worker["stages"]
+
+
+# ------------------------------------------------------------ bounded state
+def test_executed_batches_is_bounded(registry):
+    executor = BatchingExecutor(registry, BatchPolicy(max_batch=4,
+                                                      timeout_ms=1.0))
+    x = _tensor(9)
+    try:
+        for _ in range(10_000):
+            executor.submit_lease(MODEL, x).release()
+        sizes = executor.executed_batches[MODEL]
+        assert len(sizes) == executor.EXECUTED_WINDOW < 10_000
+        assert set(sizes) == {1}
+        assert not executor._workers  # every one of them was served inline
+    finally:
+        executor.close()
+
+
+# ------------------------------------------------- preprocess exactly once
+class _CountingDigApp(DigApp):
+    """Counts payloads through either preprocess kernel (DigApp's batched
+    kernel does not call the per-item one, so nothing is counted twice)."""
+
+    def __init__(self):
+        super().__init__(backend=None)
+        self.preprocessed = 0
+
+    def preprocess(self, raw):
+        self.preprocessed += 1
+        return super().preprocess(raw)
+
+    def preprocess_batch(self, raws):
+        self.preprocessed += len(raws)
+        return super().preprocess_batch(raws)
+
+
+def test_contended_lock_does_not_preprocess_twice(registry, raws):
+    """The inline attempt preprocesses before it can know which plan to
+    lock; when that lock is busy the rows ride along in the enqueued
+    request instead of being thrown away and recomputed by the worker."""
+    executor = _executor(registry)
+    app = _CountingDigApp()
+    inline_plan = registry.plan(MODEL, 1)  # what a 1-row request locks
+    holding, released = threading.Event(), threading.Event()
+
+    def hold_then_release():
+        with inline_plan.lock:  # an RLock: contend from another thread
+            holding.set()
+            released.wait(5.0)
+
+    holder = threading.Thread(target=hold_then_release)
+    holder.start()
+    try:
+        assert holding.wait(5.0)
+        answer = executor.submit_app(MODEL, app, raws[0])
+    finally:
+        released.set()
+        holder.join()
+        executor.close()
+    assert _value(executor._fast_hits, model=MODEL) == 0  # it did decline
+    reference = DigApp(backend=None)
+    assert answer == reference.postprocess(
+        registry.get(MODEL).forward(reference.preprocess(raws[0])), raws[0])
+    assert app.preprocessed == 1
+    assert list(executor.executed_batches[MODEL]) == [1]

@@ -330,7 +330,7 @@ class TestExecutorPlannedPath:
         finally:
             executor.close()
 
-    def test_oversize_request_falls_back_to_legacy(self, registry):
+    def test_oversize_request_runs_on_throwaway_plan(self, registry):
         net = registry.get("dig")
         x = batch_for(net, 6, 43)  # > max_batch: collector admits it whole
         executor = BatchingExecutor(registry, BatchPolicy(max_batch=4,
@@ -338,6 +338,11 @@ class TestExecutorPlannedPath:
         try:
             out = executor.submit("dig", x)
             np.testing.assert_array_equal(out, net.forward(x))
+            # same serve routine, on a plan compiled for the row count and
+            # dropped afterwards: the registry caches nothing past the
+            # envelope bucket
+            assert list(executor.executed_batches["dig"]) == [6]
+            assert max(b for _, b in registry._plans) <= 4
         finally:
             executor.close()
 
@@ -350,14 +355,3 @@ class TestExecutorPlannedPath:
         finally:
             executor.close()
 
-    def test_use_plans_false_serves_legacy(self, registry):
-        net = registry.get("dig")
-        x = batch_for(net, 2, 47)
-        executor = BatchingExecutor(registry, BatchPolicy(max_batch=4,
-                                                          timeout_ms=1.0),
-                                    use_plans=False)
-        try:
-            np.testing.assert_array_equal(executor.submit("dig", x),
-                                          net.forward(x))
-        finally:
-            executor.close()

@@ -439,6 +439,27 @@ class TestServerIntegration:
                 out = client.infer("pos", x)
                 assert out.tobytes() == net.forward(x).tobytes()
 
+    def test_oversize_batch_behind_batching_runs_on_throwaway_plan(
+            self, zoo_registry):
+        """Twin of the threaded oversize test: with a batching front end a
+        request wider than the pool slot goes through the executor's one
+        serve routine on a parent-side plan compiled for its row count —
+        byte-identical to ``net.forward`` — and the registry is left with
+        no plan above the envelope bucket."""
+        plans_before = set(zoo_registry._plans)
+        with DjinnServer(zoo_registry, workers="proc:2",
+                         batching=BatchPolicy(max_batch=4,
+                                              timeout_ms=1.0)) as server:
+            host, port = server.address
+            with DjinnClient(host, port) as client:
+                net = zoo_registry.get("pos")
+                x = np.full((7,) + net.input_shape, 0.1, np.float32)
+                out = client.infer("pos", x)
+                assert out.tobytes() == net.forward(x).tobytes()
+            assert list(server._executor.executed_batches["pos"]) == [7]
+        grown = set(zoo_registry._plans) - plans_before
+        assert all(bucket <= 4 for _, bucket in grown), grown
+
     def test_batching_front_end_rides_the_pool(self, zoo_registry):
         with DjinnServer(zoo_registry, workers="proc:2",
                          batching=BatchPolicy(max_batch=4,
