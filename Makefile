@@ -3,7 +3,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast soak chaos trace-demo bench-engine bench-procpool bench-gateway bench-slo bench-cost bench-cache bench-smoke bench-all
+.PHONY: test test-fast soak chaos trace-demo bench-engine bench-procpool bench-gateway bench-slo bench-cost bench-cache bench-smoke bench-ab bench-all
 
 test:
 	$(PY) -m pytest -x -q
@@ -86,6 +86,18 @@ bench-cache:
 bench-smoke:
 	$(PY) -m pytest -q benchmarks/djinn_bench/tests
 	$(PY) benchmarks/djinn_bench/run.py --smoke
+
+# A/B the repository benchmark: commit REF against the working tree as
+# PAIRS alternating pairs of `run.py --workload WORKLOAD --seed k` (which
+# side goes first alternates too); prints both medians, both quartile
+# spans and wins/pairs per metric.  Single runs of identical code differ by
+# 10-40 % on a small shared host, so this is what resolves a change.
+#   make bench-ab REF=732230c WORKLOAD=dig_dup_cache PAIRS=10
+PAIRS ?= 10
+bench-ab:
+	@test -n "$(REF)" -a -n "$(WORKLOAD)" || \
+		{ echo "usage: make bench-ab REF=<sha> WORKLOAD=<name> [PAIRS=10]"; exit 2; }
+	$(PY) benchmarks/ab_pairs.py --ref $(REF) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 # Reproduce the Fig 11-shaped throughput-vs-replicas curve on the real
 # gateway; writes benchmarks/results/gateway_scaling.txt.

@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""A/B the repository benchmark: a reference commit against the working tree.
+
+    python benchmarks/ab_pairs.py --ref 732230c --workload dig_dup_cache --pairs 10
+
+Identical code drifts 10-40 % between single runs on a small shared host
+(``benchmarks/djinn_bench/README.md``), so one run of each side resolves
+nothing.  This exports ``--ref`` into a temporary directory and runs
+``benchmarks/djinn_bench/run.py --workload W --seed k`` from that export
+and from the working tree as *alternating pairs*: pair ``k`` uses seed
+``first-seed + k`` on both sides, and which side goes first alternates
+too, so host drift over minutes lands on both.  Each side runs its own
+copy of the benchmark against its own ``src/``.
+
+Printed per metric of the run's last-line JSON (the end-to-end metrics,
+or the per-layer ones with ``--trace 1``): both medians, both quartile
+spans, the ratio of the medians, how many pairs the change won (ties count
+for neither), and every pair's change/ref ratio.  A gain is resolved when
+the change wins at least nine pairs in ten and the medians differ by more
+than the reference's own quartile span.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+RUN_PY = Path("benchmarks") / "djinn_bench" / "run.py"
+
+
+def export_ref(ref: str, into: Path) -> None:
+    """``git archive``: the committed files of ``ref`` and nothing else (no
+    entry in this repository's worktree list to clean up afterwards)."""
+    archive = into.with_suffix(".tar")
+    subprocess.run(["git", "archive", "--format=tar", "-o", str(archive), ref],
+                   cwd=REPO_ROOT, check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(into)
+    archive.unlink()
+
+
+def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
+    """One benchmark run from ``tree``; the parsed last line of its output."""
+    proc = subprocess.run(
+        [sys.executable, str(RUN_PY), "--workload", workload,
+         "--seed", str(seed), "--trace", str(trace)],
+        cwd=tree, text=True, capture_output=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        sys.exit(f"ab_pairs: no result line from {tree} (exit "
+                 f"{proc.returncode}):\n{proc.stdout}\n{proc.stderr}")
+    result["exit"] = proc.returncode
+    return result
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(name: str, better: str, ref, change) -> str:
+    r1, rmed, r3 = quartiles(ref)
+    c1, cmed, c3 = quartiles(change)
+    if better == "lower":
+        wins = sum(c < r for r, c in zip(ref, change))
+    else:
+        wins = sum(c > r for r, c in zip(ref, change))
+    ties = sum(c == r for r, c in zip(ref, change))
+    ratio = f"{cmed / rmed:6.3f}" if rmed else "   n/a"
+    resolved = abs(cmed - rmed) > (r3 - r1)
+    pairs = " ".join(f"{c / r:.2f}" if r else "n/a"
+                     for r, c in zip(ref, change))
+    return (f"{name:28s} {better:6s} ref {rmed:10.4f} [{r1:10.4f},{r3:10.4f}]  "
+            f"change {cmed:10.4f} [{c1:10.4f},{c3:10.4f}]  x{ratio}  "
+            f"wins {wins}/{len(ref) - ties}  "
+            f"{'>' if resolved else '<='} ref IQR\n"
+            f"{'':28s} change/ref per pair: {pairs}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--ref", required=True,
+                        help="commit to compare the working tree against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=0,
+                        help="pair k runs seed first-seed + k on both sides")
+    parser.add_argument("--trace", type=int, default=0, choices=(0, 1),
+                        help="passed through: 1 compares the per-layer metrics")
+    args = parser.parse_args(argv)
+
+    with open(REPO_ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+        decl = json.load(fh)
+    better = {m["name"]: m["better"]
+              for m in decl["end_to_end"] + decl["per_layer"]}
+
+    scratch = Path(tempfile.mkdtemp(prefix="bench-ab-"))
+    try:
+        ref_tree = scratch / "ref"
+        export_ref(args.ref, ref_tree)
+        sides = {"ref": ref_tree, "change": REPO_ROOT}
+        runs = {"ref": [], "change": []}
+        for k in range(args.pairs):
+            seed = args.first_seed + k
+            order = ("ref", "change") if k % 2 == 0 else ("change", "ref")
+            for side in order:
+                runs[side].append(
+                    run_once(sides[side], args.workload, seed, args.trace))
+            line = "  ".join(
+                f"{side} failed {runs[side][-1]['failed']}"
+                f"/{runs[side][-1]['attempted']}" for side in order)
+            print(f"pair {k:2d} seed {seed:3d} order {'>'.join(order):10s} {line}",
+                  flush=True)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+    print(f"\n== {args.workload}: {args.ref} (ref) vs working tree (change), "
+          f"{args.pairs} alternating pairs, seeds {args.first_seed}.."
+          f"{args.first_seed + args.pairs - 1}, trace {args.trace} ==")
+    for name in runs["ref"][0]["metrics"]:
+        values = {side: [run["metrics"][name]["value"] for run in runs[side]]
+                  for side in runs}
+        print(summarize(name, better.get(name, "lower"),
+                        values["ref"], values["change"]))
+    failed = {side: sum(run["failed"] for run in runs[side]) for side in runs}
+    attempted = {side: sum(run["attempted"] for run in runs[side])
+                 for side in runs}
+    print("failed operations: " + "  ".join(
+        f"{side} {failed[side]}/{attempted[side]}" for side in runs))
+    return 1 if any(run["exit"] for side in runs for run in runs[side]) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

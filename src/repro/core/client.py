@@ -13,13 +13,13 @@ from ..obs.metrics import render_exposition
 from ..obs.trace import Tracer, get_tracer
 from ..tonic.app import DnnBackend
 from .protocol import (
+    FrameReader,
     KIND_TENSOR,
     KIND_TEXT,
     KIND_U8,
     Message,
     MessageType,
     ProtocolError,
-    recv_message,
     send_message,
 )
 
@@ -131,11 +131,14 @@ class DjinnClient:
         self._host, self._port, self._timeout_s = host, port, timeout_s
         self._tracer = tracer if tracer is not None else get_tracer()
         self._fault_scope = fault_scope
-        self._sock: Optional[socket.socket] = self._connect()
+        self._sock: Optional[socket.socket] = None
+        self._reader: Optional[FrameReader] = None
+        self._connect()
         self._closed = False
         self._next_stream_id = 1
 
-    def _connect(self) -> socket.socket:
+    def _connect(self) -> None:
+        """Dial the server; the socket gets its own frame reader."""
         try:
             sock = socket.create_connection((self._host, self._port),
                                             timeout=self._timeout_s)
@@ -144,12 +147,14 @@ class DjinnClient:
                 f"cannot connect to {self._host}:{self._port}: {exc}"
             ) from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock
+        self._sock = sock
+        self._reader = FrameReader(sock, self._fault_scope)
 
     # -------------------------------------------------------------- plumbing
     def _teardown(self) -> None:
-        """Drop the socket; the next roundtrip dials fresh."""
-        sock, self._sock = self._sock, None
+        """Drop the socket and, with it, whatever its reader had buffered;
+        the next roundtrip dials fresh."""
+        sock, self._sock, self._reader = self._sock, None, None
         if sock is not None:
             try:
                 sock.close()
@@ -163,10 +168,10 @@ class DjinnClient:
         if self._sock is None:
             # previous roundtrip died on a transport error; reconnect rather
             # than read whatever half-frame the dead stream left behind
-            self._sock = self._connect()
+            self._connect()
         try:
             send_message(self._sock, request)
-            return recv_message(self._sock, fault_scope=self._fault_scope)
+            return self._reader.read()
         except ProtocolError as exc:
             # A malformed frame means the stream is desynced: any bytes still
             # buffered belong to no known frame boundary, so the connection
@@ -258,7 +263,7 @@ class DjinnClient:
     def reconnect(self) -> "DjinnClient":
         """Drop the current connection (if any) and dial the server again."""
         self._teardown()
-        self._sock = self._connect()
+        self._connect()
         self._closed = False
         return self
 

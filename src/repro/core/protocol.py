@@ -69,10 +69,18 @@ kind emit version 5, so all v1–v4 traffic is byte-identical to what a
 pre-app peer sends.  A version-5 frame includes the trace/QoS/stream
 blocks (stream zeroed — app frames are unary) so each version keeps
 exactly one layout.
+
+Receiving: a connection owns one :class:`FrameReader`, which takes a frame
+in with one greedy ``recv`` (a large body: one more, straight into a
+right-sized buffer) and parses it with one precompiled struct per version;
+:func:`frame_parser` is the same decoder for callers that own the I/O.
+``docs/service_protocol.md`` ("Receiving a frame") has the buffering,
+leftover and tensor-aliasing rules.
 """
 
 from __future__ import annotations
 
+import math
 import socket
 import struct
 from dataclasses import dataclass
@@ -89,6 +97,7 @@ __all__ = [
     "ProtocolError",
     "send_message",
     "recv_message",
+    "FrameReader",
     "encode_message",
     "frame_parser",
     "MAX_BODY_BYTES",
@@ -387,32 +396,49 @@ def send_message(sock: socket.socket, message: Message) -> None:
     sock.sendall(frame)
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            raise ConnectionError("peer closed connection mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+#: Per wire version: one precompiled struct for every fixed-width field
+#: between the 9-byte header and the dims, and the zeros that stand in for
+#: the blocks that version lacks.
+_FIXED = {
+    version: (struct.Struct(layout), (0,) * (9 - len(layout[1:])))
+    for version, layout in (
+        (VERSION, "<"),
+        (TRACE_VERSION, "<QQ"),
+        (QOS_VERSION, "<QQIbB"),
+        (STREAM_VERSION, "<QQIbBIBI"),
+        (APP_VERSION, "<QQIbBIBIB"),
+    )
+}
+#: ``dims`` then ``body_len``, indexed by rank.
+_DIMS = tuple(struct.Struct(f"<{ndim}IQ") for ndim in range(MAX_NDIM + 1))
+_MESSAGE_TYPES = {int(mtype): mtype for mtype in MessageType}
+_F32, _U8 = np.dtype(np.float32), np.dtype(np.uint8)
 
 
-def frame_parser():
-    """Sans-IO incremental frame parser.
+def _decode_head(buf):
+    """Turn the start of a frame into fields — the one header decoder.
 
-    A generator that yields the byte count it needs next and receives
-    exactly those bytes back via ``send``; the parsed :class:`Message` is
-    the ``StopIteration`` value.  Both the blocking (:func:`recv_message`)
-    and asyncio (:mod:`repro.core.aio`) receive paths drive this one
-    decoder, so the wire format has a single source of truth.
+    ``buf`` holds a frame from its first byte on (and may run past its
+    end).  While ``buf`` is too short the return value is the byte count
+    the caller must have before calling again: the 9-byte header first,
+    then everything whose length the header determines (the fixed part
+    and the name).  Each stage is validated as soon as its bytes are in,
+    so a corrupt header can never drive a large read.  With those bytes
+    in, the result is a tuple::
+
+        (tenant_at, tenant_len, body_len, dims, mtype, name, trace_id,
+         span_id, deadline_us, priority, stream_id, stream_flags,
+         stream_seq, payload_kind)
+
+    where ``tenant_at`` is the offset at which the tenant, then the body,
+    follow.
     """
-    magic, version, mtype, name_len, ndim = _HEADER.unpack((yield _HEADER.size))
+    if len(buf) < _HEADER.size:
+        return _HEADER.size
+    magic, version, mtype, name_len, ndim = _HEADER.unpack_from(buf)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}")
-    if version not in (VERSION, TRACE_VERSION, QOS_VERSION, STREAM_VERSION,
-                       APP_VERSION):
+    if version not in _FIXED:
         raise ProtocolError(f"unsupported protocol version {version}")
     # Bound the variable-length fields *before* reading them, so a corrupt
     # header can't drive huge reads.
@@ -420,86 +446,192 @@ def frame_parser():
         raise ProtocolError(f"model name too long: {name_len} bytes")
     if ndim > MAX_NDIM:
         raise ProtocolError(f"tensor rank too large: {ndim}")
-    trace_id = span_id = 0
-    if version >= TRACE_VERSION:
-        trace_id, span_id = _TRACE.unpack((yield _TRACE.size))
-    deadline_us = priority = tenant_len = 0
-    if version >= QOS_VERSION:
-        deadline_us, priority, tenant_len = _QOS.unpack((yield _QOS.size))
-    stream_id = stream_flags = stream_seq = 0
+    fixed, absent = _FIXED[version]
+    dims_at = _HEADER.size + fixed.size
+    name_at = dims_at + _DIMS[ndim].size
+    tenant_at = name_at + name_len
+    if len(buf) < tenant_at:
+        return tenant_at
+    (trace_id, span_id, deadline_us, priority, tenant_len, stream_id,
+     stream_flags, stream_seq,
+     payload_kind) = fixed.unpack_from(buf, _HEADER.size) + absent
     if version >= STREAM_VERSION:
-        stream_id, stream_flags, stream_seq = _STREAM.unpack(
-            (yield _STREAM.size))
         if version == STREAM_VERSION and not stream_id:
             raise ProtocolError("version-4 frame without a stream id")
         if stream_flags & ~STREAM_FINAL:
             raise ProtocolError(f"unknown stream flags 0x{stream_flags:02x}")
-    payload_kind = 0
     if version >= APP_VERSION:
-        (payload_kind,) = _PAYLOAD.unpack((yield _PAYLOAD.size))
         if payload_kind not in _PAYLOAD_KINDS:
             raise ProtocolError(f"unknown payload kind {payload_kind}")
         if stream_id:
             raise ProtocolError("app payload on a stream frame")
-    dims = []
-    for _ in range(ndim):
-        dims.append(_DIM.unpack((yield _DIM.size))[0])
-    dims = tuple(dims)
-    (body_len,) = _BODY_LEN.unpack((yield _BODY_LEN.size))
+    sizes = _DIMS[ndim].unpack_from(buf, dims_at)
+    dims, body_len = sizes[:-1], sizes[-1]
     if body_len > MAX_BODY_BYTES:
         raise ProtocolError(f"payload too large: {body_len} bytes")
-    name = (yield name_len).decode("utf-8") if name_len else ""
-    tenant = (yield tenant_len).decode("utf-8") if tenant_len else ""
-    body = (yield body_len) if body_len else b""
+    name = str(buf[name_at:tenant_at], "utf-8") if name_len else ""
+    return (tenant_at, tenant_len, body_len, dims, mtype, name,
+            trace_id, span_id, deadline_us, priority, stream_id,
+            stream_flags, stream_seq, payload_kind)
+
+
+def _build_message(head, tenant, body) -> Message:
+    """Finish a frame: ``head`` from :func:`_decode_head` plus the tenant
+    and body bytes.  ``body`` is any buffer that holds exactly the payload
+    and starts 4-byte aligned; a tensor aliases it (no copy) and inherits
+    its read-only flag."""
+    (_tenant_at, _tenant_len, body_len, dims, mtype, name, trace_id, span_id,
+     deadline_us, priority, stream_id, stream_flags, stream_seq,
+     payload_kind) = head
+    tenant = str(tenant, "utf-8") if tenant else ""
     try:
-        mtype = MessageType(mtype)
-    except ValueError:
+        mtype = _MESSAGE_TYPES[mtype]
+    except KeyError:
         raise ProtocolError(f"unknown message type {mtype}") from None
     if mtype in STREAM_TYPES and not stream_id:
         raise ProtocolError(f"{mtype.name} frame without a stream id")
     if mtype in APP_TYPES and not payload_kind:
         raise ProtocolError(f"{mtype.name} frame without a payload kind")
-
-    common = dict(
-        type=mtype, name=name,
-        trace_id=trace_id, span_id=span_id,
-        deadline_ms=deadline_us / 1e3, priority=priority, tenant=tenant,
-        stream_id=stream_id, stream_seq=stream_seq,
-        stream_final=bool(stream_flags & STREAM_FINAL),
-        payload_kind=payload_kind,
-    )
-    if ndim:
+    tensor, text = None, ""
+    if dims:
         if payload_kind == KIND_TEXT:
             raise ProtocolError("text payload kind with tensor dims")
         itemsize = 1 if payload_kind == KIND_U8 else 4
-        expected = int(np.prod(dims)) * itemsize
+        expected = math.prod(dims) * itemsize
         if expected != body_len:
             raise ProtocolError(
                 f"tensor dims {dims} imply {expected} bytes, frame has {body_len}"
             )
-        # no copy: the frame's body bytes back the tensor directly, so the
-        # array is read-only — consumers that need to mutate copy themselves
-        dtype = np.uint8 if payload_kind == KIND_U8 else np.float32
-        tensor = np.frombuffer(body, dtype=dtype).reshape(dims)
-        return Message(tensor=tensor, **common)
-    if payload_kind in (KIND_TENSOR, KIND_U8):
+        tensor = np.frombuffer(
+            body, _U8 if payload_kind == KIND_U8 else _F32).reshape(dims)
+    elif payload_kind in (KIND_TENSOR, KIND_U8):
         raise ProtocolError("tensor payload kind without tensor dims")
-    return Message(text=body.decode("utf-8"), **common)
+    elif body_len:
+        text = str(body, "utf-8")
+    return Message(mtype, name, tensor, text, trace_id, span_id,
+                   deadline_us / 1e3, priority, tenant, stream_id, stream_seq,
+                   bool(stream_flags & STREAM_FINAL), payload_kind)
+
+
+def frame_parser():
+    """Sans-IO incremental frame parser.
+
+    A generator that yields the byte count it needs next and receives
+    exactly those bytes back via ``send``; the parsed :class:`Message` is
+    the ``StopIteration`` value.  A thin adapter over the decoder
+    :class:`FrameReader` uses, for callers that own the I/O (the asyncio
+    client in :mod:`repro.core.aio`), so the wire format has a single
+    source of truth.  At most three reads: the header, the rest of the
+    fixed part with the name, then tenant with body — so a tenant-less
+    frame's body arrives as its own aligned buffer and is aliased, not
+    copied.
+    """
+    buf = yield _HEADER.size
+    buf += yield _decode_head(buf) - len(buf)
+    head = _decode_head(buf)
+    tenant_len, body_len = head[1], head[2]
+    tail = (yield tenant_len + body_len) if tenant_len + body_len else b""
+    return _build_message(head, tail[:tenant_len],
+                          tail[tenant_len:] if tenant_len else tail)
+
+
+#: First-read size: the header and, for every small frame, the whole frame
+#: in one ``recv`` (a DIG tensor request is 4 132 bytes, the longest POS
+#: response 5.4 KB).  The allocation is transient — ``recv`` trims it to
+#: what arrived — so no scratch buffer outlives a call.  Not larger: the
+#: read and the body it precedes are alive together in every connection
+#: thread (16 KB read +1.7 % ``peak_rss_mb`` on ``pos_open_batch``, 8 KB
+#: +1.0 %).
+_READ_BYTES = 8 * 1024
+
+
+class FrameReader:
+    """Buffered blocking frame reader: one per socket, for its whole life.
+
+    ``read()`` issues one greedy ``recv`` and parses whatever frame starts
+    the buffer.  Bytes past that frame's end (peers may pipeline, so
+    frames do coalesce) stay buffered for the next ``read()``, which
+    touches the socket only if the next frame is not already complete.
+    That is also why a reader must be dropped with its socket and never
+    shared between sockets: after a :class:`ProtocolError` the buffered
+    bytes belong to no known frame boundary.
+
+    A body too large for the first read is received straight into one
+    right-sized buffer, and nothing is read past it.
+
+    ``exact=True`` never reads past the current frame (three small reads
+    instead of one greedy one) — for :func:`recv_message`, whose reader
+    does not outlive the call and so has nowhere to keep leftovers.
+    """
+
+    __slots__ = ("_sock", "_fault_scope", "_exact", "_buf")
+
+    def __init__(self, sock: socket.socket, fault_scope: str = "",
+                 exact: bool = False):
+        self._sock = sock
+        self._fault_scope = fault_scope
+        self._exact = exact
+        self._buf = b""
+
+    def _fill(self, buf: bytes, need: int) -> bytes:
+        """Receive until ``buf`` holds at least ``need`` bytes."""
+        while len(buf) < need:
+            short = need - len(buf)
+            chunk = self._sock.recv(
+                short if self._exact else max(short, _READ_BYTES))
+            if not chunk:
+                raise ConnectionError("peer closed connection mid-frame")
+            buf = buf + chunk if buf else chunk
+        return buf
+
+    def read(self) -> Message:
+        """Receive and parse one frame (blocking)."""
+        if faultsite.active is not None:
+            faultsite.active.on_recv(self._sock, self._fault_scope)
+        buf, self._buf = self._buf, b""
+        head = _decode_head(buf)
+        while isinstance(head, int):  # header, then fixed part + name, short
+            buf = self._fill(buf, head)
+            head = _decode_head(buf)
+        tenant_at, tenant_len, body_len = head[:3]
+        body_at = tenant_at + tenant_len
+        end = body_at + body_len
+        # A small frame goes through the (greedy) buffer whole; a large one
+        # only up to its body.
+        buf = self._fill(buf, end if end <= _READ_BYTES else body_at)
+        if len(buf) >= end:
+            # The body is sliced out into its own bytes object — a copy of
+            # a few KB that keeps float32 data aligned whatever the header
+            # length and does not pin the whole read behind one tensor.
+            body = buf[body_at:end]
+            self._buf = buf[end:]
+        else:
+            body = self._read_body(memoryview(buf)[body_at:], body_len)
+        return _build_message(head, buf[tenant_at:body_at], body)
+
+    def _read_body(self, got: memoryview, body_len: int) -> np.ndarray:
+        """Receive a large body into one uninitialised right-sized buffer
+        (no chunk list, no join, no zero-fill); ``got`` is its start."""
+        body = np.empty(body_len, dtype=np.uint8)
+        view = memoryview(body)
+        filled = len(got)
+        view[:filled] = got
+        while filled < body_len:
+            count = self._sock.recv_into(view[filled:])
+            if not count:
+                raise ConnectionError("peer closed connection mid-frame")
+            filled += count
+        body.flags.writeable = False
+        return body
 
 
 def recv_message(sock: socket.socket, fault_scope: str = "") -> Message:
-    """Receive and parse one frame (blocking).
+    """Receive and parse one frame (blocking), reading not one byte past it.
 
-    ``fault_scope`` names the receiving role for the fault-injection seam
-    (e.g. ``"client"``, ``"gateway.client"``, ``"probe"``, or a server's
-    service name); it has no effect unless a fault plan is armed.
+    For one-shot callers and tests; a connection that is read repeatedly
+    owns a :class:`FrameReader` instead.  ``fault_scope`` names the
+    receiving role for the fault-injection seam (e.g. ``"client"``,
+    ``"gateway.client"``, ``"probe"``, or a server's service name); it has
+    no effect unless a fault plan is armed.
     """
-    if faultsite.active is not None:
-        faultsite.active.on_recv(sock, fault_scope)
-    parser = frame_parser()
-    need = next(parser)
-    while True:
-        try:
-            need = parser.send(_recv_exact(sock, need) if need else b"")
-        except StopIteration as done:
-            return done.value
+    return FrameReader(sock, fault_scope, exact=True).read()

@@ -36,7 +36,7 @@ from ..sched import DeadlineExceededError
 from . import faultsite
 from .batching import BatchingExecutor, BatchPolicy
 from .procpool import parse_workers
-from .protocol import Message, MessageType, ProtocolError, recv_message, send_message
+from .protocol import FrameReader, Message, MessageType, ProtocolError, send_message
 from .registry import ModelRegistry
 from .session import SessionLimitError, SessionManager, TensorStreamApp
 from .stats import ServiceStats
@@ -62,7 +62,6 @@ class TcpServiceBase:
         self._host, self._port = host, port
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
-        self._workers = []
         self._conns = []
         self._conns_lock = threading.Lock()
         self._running = threading.Event()
@@ -149,21 +148,29 @@ class TcpServiceBase:
                 except OSError:
                     pass
                 continue
+            try:
+                # replies are small and may be pipelined (stream results on
+                # a multiplexed connection): never hold one back for Nagle
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError:
+                conn.close()  # peer reset before we got to it
+                continue
             with self._conns_lock:
                 self._conns.append(conn)
-            worker = threading.Thread(
+            # not retained: a worker unwinds with its connection, and health
+            # probes alone open two connections a second per backend
+            threading.Thread(
                 target=self._serve_connection, args=(conn,), daemon=True,
                 name=f"{self.service_name}-worker",
-            )
-            self._workers.append(worker)
-            worker.start()
+            ).start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
+        reader = FrameReader(conn, fault_scope=self.service_name)
         try:
             with conn:
                 while self._running.is_set():
                     try:
-                        request = recv_message(conn, fault_scope=self.service_name)
+                        request = reader.read()
                     except (ConnectionError, OSError):
                         return
                     except ProtocolError as exc:

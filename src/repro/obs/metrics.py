@@ -282,6 +282,10 @@ _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
 # --------------------------------------------------------------------- families
+#: bound on a family's repeat-lookup cache (emptied when full)
+_RECENT_LABELS = 256
+
+
 class MetricFamily:
     """One named metric with a fixed label schema, fanning out to children."""
 
@@ -299,9 +303,26 @@ class MetricFamily:
         self._child_kwargs = child_kwargs
         self._lock = threading.Lock()
         self._children: Dict[Tuple[str, ...], object] = {}
+        # repeat-lookup cache: a call's own (name, value) items -> child
+        self._recent: Dict[tuple, object] = {}
 
     def labels(self, **labelvalues: str):
         """The child for this label combination (created on first use)."""
+        # Hot-path callers repeat the same few combinations; a hit skips
+        # validation, str() and the lock.  Only all-``str`` combinations
+        # are cached or looked up, so a hit names the child the validating
+        # path below would: nothing that merely compares equal to a cached
+        # value (1 / True / 1.0, a str subclass with its own __str__) can
+        # reach another value's child.
+        for value in labelvalues.values():
+            if type(value) is not str:
+                items = None
+                break
+        else:
+            items = tuple(labelvalues.items())
+            child = self._recent.get(items)
+            if child is not None:
+                return child
         if set(labelvalues) != set(self.labelnames):
             raise ValueError(
                 f"metric {self.name!r} takes labels {self.labelnames}, "
@@ -313,6 +334,12 @@ class MetricFamily:
             if child is None:
                 child = _KINDS[self.kind](**self._child_kwargs)
                 self._children[key] = child
+            # under the lock, so a racing clear() cannot leave a dropped
+            # child behind in the cache
+            if items is not None:
+                if len(self._recent) >= _RECENT_LABELS:
+                    self._recent.clear()
+                self._recent[items] = child
             return child
 
     def children(self) -> List[Tuple[Tuple[str, ...], object]]:
@@ -323,6 +350,7 @@ class MetricFamily:
         """Drop all children (e.g. between benchmark phases)."""
         with self._lock:
             self._children.clear()
+            self._recent.clear()
 
     # convenience: a label-less family acts like its single child
     def _solo(self):

@@ -35,19 +35,30 @@ class DigApp(TonicApp):
             )
         return images
 
+    @staticmethod
+    def _retina(blocks, count: int) -> np.ndarray:
+        """Pad to LeNet-5's 32x32 retina and center to [-1, 1] for the tanh
+        net: ``(np.pad(x, 2) - 0.5) * 2`` without ``np.pad`` — the border
+        is ``(0 - 0.5) * 2 = -1`` exactly, so the canvas starts there and
+        only the interior is computed."""
+        out = np.full((count, 1, 32, 32), -1.0, dtype=np.float32)
+        offset = 0
+        for images in blocks:
+            inner = out[offset:offset + len(images), :, 2:30, 2:30]
+            np.subtract(images, 0.5, out=inner)
+            inner *= 2.0
+            offset += len(images)
+        return out
+
     def preprocess(self, raw: np.ndarray) -> np.ndarray:
-        padded = np.pad(self._images(raw), ((0, 0), (0, 0), (2, 2), (2, 2)))
-        return (padded - 0.5) * 2.0  # center to [-1, 1] for the tanh net
+        images = self._images(raw)
+        return self._retina((images,), len(images))
 
     def preprocess_batch(self, raws):
-        # concatenate all queries' images, then one pad + one scale pass
+        # all queries' images land in one canvas: one fill, one scale pass each
         blocks = [self._images(raw) for raw in raws]
         counts = [len(b) for b in blocks]
-        if not blocks:
-            return np.empty((0, 1, 32, 32), dtype=np.float32), []
-        stacked = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        padded = np.pad(stacked, ((0, 0), (0, 0), (2, 2), (2, 2)))
-        return (padded - 0.5) * 2.0, counts
+        return self._retina(blocks, sum(counts)), counts
 
     def postprocess(self, outputs: np.ndarray, raw) -> List[int]:
         return [int(i) for i in np.argmax(outputs, axis=1)]

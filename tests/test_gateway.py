@@ -199,6 +199,23 @@ class TestGatewayService:
             np.testing.assert_allclose(
                 cli.infer("dig", x), registry.get("dig").forward(x), rtol=1e-5)
 
+    def test_accepted_sockets_disable_nagle(self, fleet, rng):
+        """Both services set TCP_NODELAY on the sockets they accept (the
+        dialing side always did)."""
+        import socket
+
+        cluster, gateway = fleet
+        with DjinnClient(*gateway.address) as cli:
+            cli.infer("pos", rng.normal(size=(1, 300)).astype(np.float32))
+            accepted = []
+            for service in (gateway, *cluster.servers):
+                with service._conns_lock:
+                    accepted.extend(service._conns)
+            # the client's connection at the gateway + >= 1 pooled backend one
+            assert len(accepted) >= 2
+            for conn in accepted:
+                assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
     def test_round_robin_spreads_load_across_backends(self, fleet, rng):
         cluster, gateway = fleet
         x = rng.normal(size=(1, 300)).astype(np.float32)

@@ -199,6 +199,51 @@ class TestRegistry:
         with pytest.raises(ValueError, match="labels"):
             family.inc()  # label-less convenience needs a label-less family
 
+    def test_repeat_lookup_fast_path_names_the_same_children(self):
+        """The repeat-lookup cache is invisible: same children as the
+        validating path for either keyword order, nothing that merely
+        compares equal to a cached value shares its child, unhashable and
+        invalid calls still validate, and ``clear()`` drops it."""
+        import enum
+
+        class Color(str, enum.Enum):
+            RED = "red"
+
+        reg = MetricsRegistry()
+        family = reg.counter("x_total", labelnames=("model", "n"))
+        first = family.labels(model="dig", n="1")
+        assert family.labels(model="dig", n="1") is first       # cached
+        assert family.labels(n="1", model="dig") is first       # other order
+        assert family.labels(model="dig", n=1) is first         # str(1) == "1"
+        assert family.labels(model="dig", n=True) is not first  # "True"
+        assert family.labels(model="dig", n=1.0) is not first   # "1.0"
+        red = family.labels(model="red", n="1")
+        assert family.labels(model=Color.RED, n="1") is not red  # "Color.RED"
+        assert family.labels(model=["dig"], n="1") is \
+            family.labels(model="['dig']", n="1")                # unhashable
+        with pytest.raises(ValueError, match="labels"):
+            family.labels(model="dig")
+        with pytest.raises(ValueError, match="labels"):
+            family.labels(model="dig", n="1", extra="x")
+        assert {key for key, _ in family.children()} == {
+            ("dig", "1"), ("dig", "True"), ("dig", "1.0"), ("red", "1"),
+            ("Color.RED", "1"), ("['dig']", "1")}
+        first.inc()
+        family.clear()
+        fresh = family.labels(model="dig", n="1")
+        assert fresh is not first and fresh.value == 0
+        assert family.children() == [(("dig", "1"), fresh)]
+
+    def test_repeat_lookup_cache_is_bounded(self):
+        from repro.obs import metrics
+
+        family = MetricsRegistry().counter("y_total", labelnames=("k",))
+        for i in range(3 * metrics._RECENT_LABELS):
+            family.labels(k=f"v{i}").inc()
+            assert len(family._recent) <= metrics._RECENT_LABELS
+        assert len(family.children()) == 3 * metrics._RECENT_LABELS
+        assert family.labels(k="v0").value == 1  # evicted from the cache only
+
     def test_registration_is_idempotent_but_conflicts_raise(self):
         reg = MetricsRegistry()
         a = reg.counter("x_total", labelnames=("model",))

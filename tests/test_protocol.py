@@ -1,10 +1,15 @@
 """Unit tests for the DjiNN wire protocol."""
 
+import dataclasses
 import socket
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.core import protocol
+from repro.core.client import DjinnClient, DjinnConnectionError
 from repro.core.protocol import (
     APP_VERSION,
     KIND_TENSOR,
@@ -21,10 +26,12 @@ from repro.core.protocol import (
     STREAM_VERSION,
     TRACE_VERSION,
     VERSION,
+    FrameReader,
     Message,
     MessageType,
     ProtocolError,
     encode_message,
+    frame_parser,
     recv_message,
     send_message,
 )
@@ -904,3 +911,415 @@ class TestAppPayload:
                     text='{"ok": true}', payload_kind=KIND_TEXT),
         ):
             assert encode_message(msg) == _capture_frame(msg)
+
+
+# ------------------------------------------------------------ FrameReader
+class CountingSocket:
+    """A socket that counts the receive calls made on it."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.recv_calls = 0
+        self.recv_into_calls = 0
+
+    @property
+    def calls(self):
+        return self.recv_calls + self.recv_into_calls
+
+    def recv(self, *args):
+        self.recv_calls += 1
+        return self._sock.recv(*args)
+
+    def recv_into(self, *args):
+        self.recv_into_calls += 1
+        return self._sock.recv_into(*args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def assert_same_message(a, b):
+    for field in dataclasses.fields(a):
+        if field.name != "tensor":
+            assert getattr(a, field.name) == getattr(b, field.name), field.name
+    if a.tensor is None:
+        assert b.tensor is None
+    else:
+        assert a.tensor.dtype == b.tensor.dtype
+        assert a.tensor.shape == b.tensor.shape
+        assert a.tensor.tobytes() == b.tensor.tobytes()
+
+
+def drive_parser(frame):
+    """``frame_parser`` fed from memory, the way :mod:`repro.core.aio` and
+    the repository benchmark drive it: exactly the bytes it asks for."""
+    parser = frame_parser()
+    need = next(parser)
+    offset, yields = 0, 1
+    try:
+        while True:
+            chunk = frame[offset:offset + need]
+            offset += need
+            need = parser.send(chunk)
+            yields += 1
+    except StopIteration as done:
+        assert offset == len(frame)
+        assert yields <= 3
+        return done.value
+
+
+def _tensor(shape, seed=0):
+    return np.random.default_rng(seed).normal(size=shape).astype(np.float32)
+
+
+#: one frame per wire version (v1 .. v5)
+VERSION_FRAMES = [
+    Message(MessageType.INFER_REQUEST, name="dig", tensor=_tensor((2, 3))),
+    Message(MessageType.INFER_RESPONSE, name="dig", tensor=_tensor((1, 10)),
+            trace_id=0xABCDEF, span_id=7),
+    Message(MessageType.INFER_REQUEST, name="pos", tensor=_tensor((3, 5)),
+            deadline_ms=12.5, priority=-2, tenant="tenant-a"),
+    Message(MessageType.STREAM_RESULT, text='{"partial": "go"}',
+            stream_id=2, stream_seq=3, stream_final=True),
+    Message(MessageType.APP_REQUEST, name="dig", payload_kind=KIND_U8,
+            tensor=np.arange(16, dtype=np.uint8).reshape(1, 4, 4),
+            trace_id=5, span_id=6, deadline_ms=3.0),
+]
+VERSION_IDS = ["v1", "v2", "v3", "v4", "v5"]
+
+
+def _benchmark_frames():
+    """The request and response frames of the four benchmark workloads
+    (shapes from ``benchmarks/djinn_bench/workloads.py``)."""
+    pixels = np.random.default_rng(1).integers(
+        0, 256, size=(1, 28, 28), dtype=np.uint8)
+    return {
+        "imc.request": Message(MessageType.INFER_REQUEST, name="imc",
+                               tensor=_tensor((1, 3, 227, 227))),
+        "imc.response": Message(MessageType.INFER_RESPONSE, name="imc",
+                                tensor=_tensor((1, 1000))),
+        "dig_app.request": Message(MessageType.APP_REQUEST, name="dig",
+                                   tensor=pixels, payload_kind=KIND_U8,
+                                   trace_id=9, span_id=10),
+        "dig_app.response": Message(MessageType.APP_RESPONSE, name="dig",
+                                    text="[7]", payload_kind=KIND_TEXT),
+        "dig.request": Message(MessageType.INFER_REQUEST, name="dig",
+                               tensor=_tensor((1, 1, 32, 32))),
+        "dig.response": Message(MessageType.INFER_RESPONSE, name="dig",
+                                tensor=_tensor((1, 10))),
+        "pos.request": Message(MessageType.INFER_REQUEST, name="pos",
+                               tensor=_tensor((17, 300)), deadline_ms=1000.0),
+        "pos.request.longest": Message(
+            MessageType.INFER_REQUEST, name="pos", tensor=_tensor((30, 300)),
+            deadline_ms=1000.0),
+        "pos.response.longest": Message(
+            MessageType.INFER_RESPONSE, name="pos", tensor=_tensor((30, 45))),
+    }
+
+
+BENCH_FRAMES = _benchmark_frames()
+#: the reader's greedy first read
+FIRST_READ = protocol._READ_BYTES
+
+
+class TestFrameReader:
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5], ids=VERSION_IDS)
+    def test_dribbled_frame_equals_one_shot_parse(self, sock_pair, version):
+        """A byte at a time — every possible short read — parses the same."""
+        a, b = sock_pair
+        message = VERSION_FRAMES[version - 1]
+        frame = encode_message(message)
+        assert frame[4] == version
+        b.settimeout(5.0)
+        reader = FrameReader(b)
+        got = []
+        thread = threading.Thread(target=lambda: got.append(reader.read()))
+        thread.start()
+        for i in range(len(frame)):
+            a.sendall(frame[i:i + 1])
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        a.sendall(frame)
+        assert_same_message(got[0], reader.read())
+        assert_same_message(got[0], message)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_coalesced_frames_come_back_in_order(self, sock_pair, count):
+        """Frames written in one ``sendall`` and nothing after: a greedy
+        reader that dropped its leftovers would block on the second read
+        (the timeout turns that hang into a failure)."""
+        a, b = sock_pair
+        messages = (VERSION_FRAMES * 2)[1:1 + count]
+        a.sendall(b"".join(encode_message(m) for m in messages))
+        b.settimeout(2.0)
+        counting = CountingSocket(b)
+        reader = FrameReader(counting)
+        for message in messages:
+            assert_same_message(reader.read(), message)
+        assert counting.calls == 1  # later reads never touched the socket
+
+    def test_leftover_partial_frame_is_completed_from_the_socket(self, sock_pair):
+        a, b = sock_pair
+        first, second = (encode_message(m) for m in VERSION_FRAMES[:2])
+        a.sendall(first + second[:11])
+        b.settimeout(2.0)
+        reader = FrameReader(b)
+        assert_same_message(reader.read(), VERSION_FRAMES[0])
+        a.sendall(second[11:])
+        assert_same_message(reader.read(), VERSION_FRAMES[1])
+
+    @pytest.mark.parametrize("name", sorted(BENCH_FRAMES))
+    def test_reads_per_buffered_frame(self, name):
+        """With the whole frame already in the socket buffer: one receive
+        call for a frame that fits the first read, at most two up to
+        64 KB, and a large body arrives in one buffer (no chunk join)."""
+        message = BENCH_FRAMES[name]
+        frame = encode_message(message)
+        a, b = socket.socketpair()
+        b.settimeout(5.0)
+        try:
+            a.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4 << 20)
+            b.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4 << 20)
+            sender = threading.Thread(target=a.sendall, args=(frame,))
+            sender.start()
+            if len(frame) <= 64 * 1024:
+                sender.join(timeout=10.0)
+                assert not sender.is_alive()  # all of it is queued at b
+            counting = CountingSocket(b)
+            out = FrameReader(counting).read()
+            sender.join(timeout=10.0)
+        finally:
+            a.close()
+            b.close()
+        assert_same_message(out, message)
+        if len(frame) <= 64 * 1024:
+            assert counting.calls == (1 if len(frame) <= FIRST_READ else 2)
+        # only the first read makes a bytes object; the rest of a large body
+        # goes straight into its final buffer
+        assert counting.recv_calls == 1
+        assert bool(counting.recv_into_calls) == (len(frame) > FIRST_READ)
+        if out.tensor is not None:
+            # the tensor aliases one buffer that holds exactly the body
+            base = out.tensor
+            while isinstance(base, np.ndarray) and base.base is not None:
+                base = base.base
+            assert memoryview(base).nbytes == out.tensor.nbytes
+            assert np.shares_memory(out.tensor, np.frombuffer(base, np.uint8))
+
+    def test_frames_that_must_fit_the_first_read(self):
+        """The sizes the issue names: the 848-byte DIG app frame, the
+        4 132-byte DIG tensor frame, and every benchmark response."""
+        sizes = {name: len(encode_message(m)) for name, m in BENCH_FRAMES.items()}
+        assert sizes["dig.request"] == 4132
+        assert 840 <= sizes["dig_app.request"] <= 860
+        for name, size in sizes.items():
+            if name.endswith("response") or name.endswith("response.longest"):
+                assert size <= FIRST_READ, name
+        assert FIRST_READ < sizes["pos.request"] < 64 * 1024
+        assert sizes["imc.request"] > 600_000
+
+    @pytest.mark.parametrize("name_len", [0, 1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("tenant_len", [0, 1, 3, 4])
+    @pytest.mark.parametrize("rows", [1, 6000])
+    def test_float_tensors_are_aligned_and_read_only(self, name_len, tenant_len,
+                                                     rows):
+        """Every header length (v1/v2/v3/v5, odd name and tenant lengths),
+        both the buffered and the large-body path, and the sans-IO parser."""
+        tensor = _tensor((rows, 3))
+        variants = [
+            dict(),                                             # v1
+            dict(trace_id=1, span_id=2),                        # v2
+            dict(deadline_ms=5.0, tenant="t" * tenant_len),     # v3
+            dict(payload_kind=KIND_TENSOR, tenant="t" * tenant_len,
+                 type=MessageType.APP_REQUEST),                 # v5
+        ]
+        for extra in variants:
+            fields = dict(type=MessageType.INFER_REQUEST, name="n" * name_len,
+                          tensor=tensor)
+            fields.update(extra)
+            message = Message(**fields)
+            frame = encode_message(message)
+            a, b = socket.socketpair()
+            b.settimeout(5.0)
+            try:
+                sender = threading.Thread(target=a.sendall, args=(frame,))
+                sender.start()
+                outs = [FrameReader(b).read(), drive_parser(frame)]
+                sender.join(timeout=10.0)
+                a.sendall(frame[:len(frame) // 2])
+                a.sendall(frame[len(frame) // 2:])
+                outs.append(recv_message(b))
+            finally:
+                a.close()
+                b.close()
+            for out in outs:
+                assert_same_message(out, message)
+                assert out.tensor.flags.aligned
+                assert out.tensor.ctypes.data % 4 == 0
+                assert not out.tensor.flags.writeable
+                with pytest.raises(ValueError):
+                    out.tensor[0, 0] = 1.0
+
+    @pytest.mark.parametrize("message", VERSION_FRAMES + list(BENCH_FRAMES.values()))
+    def test_frame_parser_equals_frame_reader(self, sock_pair, message):
+        a, b = sock_pair
+        b.settimeout(5.0)
+        frame = encode_message(message)
+        sender = threading.Thread(target=a.sendall, args=(frame,))
+        sender.start()
+        try:
+            from_reader = FrameReader(b).read()
+        finally:
+            sender.join(timeout=10.0)
+        assert_same_message(drive_parser(frame), from_reader)
+        assert_same_message(from_reader, message)
+
+    def test_recv_message_never_reads_past_its_frame(self, sock_pair):
+        """The one-shot form has nowhere to keep leftovers, so it must leave
+        the next frame in the socket — in at most three reads."""
+        a, b = sock_pair
+        b.settimeout(5.0)
+        a.sendall(b"".join(encode_message(m) for m in VERSION_FRAMES))
+        counting = CountingSocket(b)
+        for message in VERSION_FRAMES:
+            before = counting.calls
+            assert_same_message(recv_message(counting), message)
+            assert counting.calls - before <= 3
+
+    def test_on_recv_fires_once_per_frame_before_any_read(self, sock_pair,
+                                                          monkeypatch):
+        from repro.core import faultsite
+
+        a, b = sock_pair
+        b.settimeout(5.0)
+        counting = CountingSocket(b)
+        events = []
+
+        class Seam:
+            def on_recv(self, sock, scope):
+                events.append((sock is counting, scope, counting.calls))
+
+        monkeypatch.setattr(faultsite, "active", Seam())
+        a.sendall(encode_message(VERSION_FRAMES[0]) * 2)
+        reader = FrameReader(counting, fault_scope="probe")
+        reader.read()
+        reader.read()  # served from the buffer: still announced
+        a.sendall(encode_message(VERSION_FRAMES[1]))
+        recv_message(counting, fault_scope="client")
+        assert events == [(True, "probe", 0), (True, "probe", 1),
+                          (True, "client", 1)]
+
+    def test_peer_close_mid_body_is_a_connection_error(self):
+        for message in (BENCH_FRAMES["dig.request"], BENCH_FRAMES["pos.request"]):
+            frame = encode_message(message)
+            a, b = socket.socketpair()
+            try:
+                a.sendall(frame[:-100])
+                a.close()
+                with pytest.raises(ConnectionError, match="mid-frame"):
+                    FrameReader(b).read()
+            finally:
+                b.close()
+
+
+class _ScriptedServer:
+    """A one-thread TCP peer: for each accepted connection, read one request
+    and run the next scripted reply function on the connection."""
+
+    def __init__(self, *replies):
+        self._replies = list(replies)
+        self._listener = socket.socket()
+        self._listener.bind(("127.0.0.1", 0))
+        self._listener.listen(4)
+        self.address = self._listener.getsockname()
+        self.release = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    def _run(self):
+        conns = []
+        try:
+            for reply in self._replies:
+                conn, _ = self._listener.accept()
+                conns.append(conn)
+                recv_message(conn)
+                reply(conn)
+            self.release.wait(10.0)
+        finally:
+            for conn in conns:
+                conn.close()
+
+    def close(self):
+        self.release.set()
+        self._thread.join(timeout=10.0)
+        self._listener.close()
+        assert not self._thread.is_alive()
+
+
+class TestClientOwnsItsReader:
+    RESPONSE = Message(MessageType.INFER_RESPONSE, name="dig",
+                       tensor=_tensor((1, 10), seed=3))
+
+    def test_corrupt_frame_leaves_nothing_buffered_for_the_next_connection(self):
+        """A corrupt frame with more bytes riding behind it in the same
+        read: the desynced reader dies with its socket, so the reconnect
+        starts from a clean buffer."""
+        good = encode_message(self.RESPONSE)
+        server = _ScriptedServer(
+            lambda conn: conn.sendall(b"XJNN" + good[4:] + good[:37]),
+            lambda conn: conn.sendall(good))
+        try:
+            with DjinnClient(*server.address, timeout_s=5.0) as client:
+                x = _tensor((1, 1, 32, 32))
+                with pytest.raises(DjinnConnectionError, match="desync"):
+                    client.infer("dig", x)
+                assert client._sock is None and client._reader is None
+                np.testing.assert_array_equal(client.infer("dig", x),
+                                              self.RESPONSE.tensor)
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("rows", [100, 20000], ids=["buffered", "large-body"])
+    def test_timeout_mid_body_is_a_connection_error(self, rows):
+        frame = encode_message(Message(MessageType.INFER_RESPONSE, name="dig",
+                                       tensor=_tensor((rows, 10))))
+        server = _ScriptedServer(lambda conn: conn.sendall(frame[:-64]))
+        try:
+            with DjinnClient(*server.address, timeout_s=0.2) as client:
+                with pytest.raises(DjinnConnectionError, match="transport"):
+                    client.infer("dig", _tensor((1, 1, 32, 32)))
+                assert client._sock is None and client._reader is None
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("rows", [100, 20000], ids=["buffered", "large-body"])
+    def test_interrupt_mid_body_is_a_connection_error(self, rows):
+        frame = encode_message(Message(MessageType.INFER_RESPONSE, name="dig",
+                                       tensor=_tensor((rows, 10))))
+        sent = threading.Event()
+
+        def reply(conn):
+            conn.sendall(frame[:-64])
+            sent.set()
+
+        server = _ScriptedServer(reply)
+        try:
+            with DjinnClient(*server.address, timeout_s=10.0) as client:
+                errors = []
+
+                def call():
+                    try:
+                        client.infer("dig", _tensor((1, 1, 32, 32)))
+                    except DjinnConnectionError as exc:
+                        errors.append(exc)
+
+                caller = threading.Thread(target=call)
+                caller.start()
+                assert sent.wait(5.0)
+                time.sleep(0.05)  # let the caller park inside the body read
+                client.interrupt()
+                caller.join(timeout=5.0)
+                assert not caller.is_alive()
+                assert len(errors) == 1
+        finally:
+            server.close()

@@ -141,6 +141,39 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="not started"):
             DjinnServer(registry).address
 
+    def test_connection_churn_retains_no_threads(self, server):
+        """A health checker dials a fresh connection every probe; a worker
+        thread must be garbage once its connection has unwound."""
+        import gc
+        import socket
+        import time
+
+        def worker_threads():
+            return sum(1 for obj in gc.get_objects()
+                       if isinstance(obj, threading.Thread)
+                       and obj.name == "djinn-worker")
+
+        before = worker_threads()
+        for _ in range(300):
+            socket.create_connection(server.address).close()
+        deadline = time.monotonic() + 10.0
+        while ((server._conns or worker_threads() > before)
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+            gc.collect()
+        assert server._conns == []
+        assert worker_threads() <= before
+
+    def test_accepted_sockets_disable_nagle(self, server, client):
+        """The client side always set TCP_NODELAY; the accepted side must
+        too, or a second small reply waits out Nagle + delayed ACK."""
+        import socket
+
+        client.list_models()  # the connection is accepted and being served
+        with server._conns_lock:
+            (conn,) = server._conns
+        assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
 
 class TestRemoteBackend:
     def test_tonic_app_over_the_wire(self, client):

@@ -59,6 +59,40 @@ class TestDigApp:
         assert batch.shape == (3, 1, 32, 32)
         assert batch.min() >= -1.0 and batch.max() <= 1.0
 
+    @staticmethod
+    def _pad_reference(dig_app, raw):
+        """The original formulation, kept as the oracle."""
+        padded = np.pad(dig_app._images(raw), ((0, 0), (0, 0), (2, 2), (2, 2)))
+        return (padded - 0.5) * 2.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
+    def test_preprocess_is_byte_identical_to_np_pad(self, dig_app, dtype):
+        rng = np.random.default_rng(7)
+        if dtype is np.uint8:
+            raws = [rng.integers(0, 256, (n, 1, 28, 28)).astype(dtype)
+                    for n in (1, 3, 2)]
+        else:
+            raws = [rng.random((n, 1, 28, 28)).astype(dtype) for n in (1, 3, 2)]
+        raws.append(raws[0][0])  # a bare (1, 28, 28) image
+        for raw in raws:
+            got, want = dig_app.preprocess(raw), self._pad_reference(dig_app, raw)
+            assert got.dtype == want.dtype == np.float32
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        batch, counts = dig_app.preprocess_batch(raws)
+        assert counts == [1, 3, 2, 1]
+        assert batch.tobytes() == np.concatenate(
+            [self._pad_reference(dig_app, raw) for raw in raws]).tobytes()
+        empty, counts = dig_app.preprocess_batch([])
+        assert empty.shape == (0, 1, 32, 32) and counts == []
+
+    def test_answers_unchanged_by_the_pad_free_preprocess(self, dig_app):
+        """The golden-seeded LeNet gives the same digits either way."""
+        images, _ = digit_dataset(20, seed=4)
+        outputs = dig_app.backend.infer(
+            "dig", self._pad_reference(dig_app, images))
+        assert dig_app.run(images) == [int(i) for i in outputs.argmax(axis=1)]
+
     def test_rejects_wrong_shape(self, dig_app):
         with pytest.raises(ValueError, match="28, 28"):
             dig_app.run(np.zeros((2, 1, 30, 30)))
