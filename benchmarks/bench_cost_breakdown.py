@@ -25,8 +25,9 @@ pool-armed executor.
 ``--check`` gates (CI):
 
 * stage shares (incl. the residual) sum to 100% in every configuration;
-* the unattributed residual stays under ``--residual-limit`` (default 5%)
-  in every gated configuration — attribution must explain the request;
+* the unattributed residual — the median over ``REPEATS`` rounds of
+  ``--requests`` each — stays under ``--residual-limit`` (default 5%) in
+  every gated configuration — attribution must explain the request;
 * the metrics exposition survives a render -> parse round trip;
 * at least one tail exemplar resolves to a full cost ledger;
 * the APP path attributes a non-zero ``preprocess`` share server-side and
@@ -68,6 +69,8 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 MODELS = ("dig", "imc")
 BATCHES = (1, 8, 32)
 MODES = ("threaded", "proc:2")
+#: measured rounds per configuration; the gate reads the median residual
+REPEATS = 3
 
 
 def _tail_exemplars(dump: dict) -> list:
@@ -81,9 +84,27 @@ def _tail_exemplars(dump: dict) -> list:
     return found
 
 
+def _complete_ledgers(tracer) -> list:
+    """Ledgers of the complete traces (a client.infer root) the tracer holds;
+    a request straddling a clear leaves a rootless span fragment behind."""
+    by_trace = {}
+    for span in tracer.spans():
+        by_trace.setdefault(span.trace_id, []).append(span)
+    return build_ledgers([
+        span for spans in by_trace.values()
+        if any(s.name == "client.infer" for s in spans) for span in spans])
+
+
 def run_config(model: str, batch: int, mode: str, requests: int,
                warmup: int) -> dict:
-    """Serve ``requests`` traced queries and fold them into stage shares."""
+    """Serve ``REPEATS`` rounds of ``requests`` traced queries against one
+    server and fold each round into stage shares.
+
+    The reported shares are those of the round with the *median* residual:
+    one scheduling hiccup in a 10-request round of a 0.3 ms model moves
+    the residual by points, and the gate is about attribution, not about
+    the quietest (or noisiest) round this host happened to produce.
+    """
     tracer = get_tracer()
     registry = ModelRegistry()
     registry.register_spec(model, build_spec(model), seed=0)
@@ -95,6 +116,8 @@ def run_config(model: str, batch: int, mode: str, requests: int,
     server.start()
     tracer.clear()
     tracer.enable()
+    rounds = []
+    exemplar_entry = None
     try:
         host, port = server.address
         rng = np.random.default_rng(0)
@@ -107,44 +130,41 @@ def run_config(model: str, batch: int, mode: str, requests: int,
             # before clearing, or its tail spans leak into the measurement
             time.sleep(0.05)
             tracer.clear()  # ledgers cover only the measured requests
-            for _ in range(requests):
-                client.infer(model, x)
+            seen = set()
+            for _ in range(REPEATS):
+                for _ in range(requests):
+                    client.infer(model, x)
+                time.sleep(0.05)  # same reason, at the round boundary
+                rounds.append([ledger for ledger in _complete_ledgers(tracer)
+                               if ledger.trace_id not in seen])
+                seen.update(ledger.trace_id for ledger in rounds[-1])
             dump = client.metrics()
+            # the djinn-slow path: histogram exemplar -> tracer -> cost ledger
+            for latency_s, trace_hex in _tail_exemplars(dump):
+                spans = tracer.spans(int(trace_hex, 16))
+                if spans:
+                    exemplar_entry = {
+                        "latency_s": latency_s, "trace_id": trace_hex,
+                        "ledger": build_ledger(spans).to_dict()}
+                    break
     finally:
         tracer.disable()
         server.stop()
+        tracer.clear()
 
-    # keep only complete traces (a client.infer root): a request straddling
-    # the post-warmup clear leaves a rootless span fragment behind
-    by_trace = {}
-    for span in tracer.spans():
-        by_trace.setdefault(span.trace_id, []).append(span)
-    complete = [span for spans in by_trace.values()
-                if any(s.name == "client.infer" for s in spans)
-                for span in spans]
-    ledgers = build_ledgers(complete)
-    shares = aggregate_shares(ledgers)
-    wall_s = sum(ledger.wall_s for ledger in ledgers)
-
-    # the djinn-slow path: histogram exemplar -> tracer -> cost ledger
-    exemplar_entry = None
-    for latency_s, trace_hex in _tail_exemplars(dump):
-        spans = tracer.spans(int(trace_hex, 16))
-        if spans:
-            ledger = build_ledger(spans)
-            exemplar_entry = {"latency_s": latency_s, "trace_id": trace_hex,
-                              "ledger": ledger.to_dict()}
-            break
-
-    tracer.clear()
+    shares = [aggregate_shares(ledgers) for ledgers in rounds]
+    residuals = [round_shares.get("unattributed", 0.0)
+                 for round_shares in shares]
+    median = sorted(range(REPEATS), key=residuals.__getitem__)[REPEATS // 2]
     return {
         "model": model,
         "batch": batch,
         "mode": mode,
-        "requests": len(ledgers),
-        "wall_s": wall_s,
-        "shares": shares,
-        "residual_share": shares.get("unattributed", 0.0),
+        "requests": len(rounds[median]),
+        "wall_s": sum(ledger.wall_s for ledger in rounds[median]),
+        "shares": shares[median],
+        "residual_share": residuals[median],
+        "residual_rounds": residuals,
         "tail_exemplar": exemplar_entry,
         "exposition": render_exposition(dump),
     }

@@ -671,7 +671,7 @@ def cmd_chaos(args) -> int:
     import json
     import os
 
-    from .faults import SCENARIOS, default_registry, run_scenario
+    from .faults import SCENARIOS, run_scenario
 
     if args.list:
         width = max(len(name) for name in SCENARIOS)
@@ -682,10 +682,11 @@ def cmd_chaos(args) -> int:
     for name in names:
         if name not in SCENARIOS:
             raise SystemExit(f"unknown scenario {name!r}; see `djinn chaos --list`")
-    registry = default_registry()
     failed = 0
     for name in names:
-        report = run_scenario(name, seed=args.seed, registry=registry,
+        # no registry handed in: each scenario serves the model its own
+        # harness dict names (one cached registry per model)
+        report = run_scenario(name, seed=args.seed,
                               requests=args.requests or None)
         violations = report.check()
         if args.json:

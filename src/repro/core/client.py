@@ -190,23 +190,13 @@ class DjinnClient:
     def exchange(self, request: Message) -> Message:
         """Raw one-request/one-reply exchange with no response typing.
 
-        The gateway's stream proxy forwards stream frames verbatim and
-        relays whatever the backend answered — typed interpretation happens
-        at the edge client, not mid-path.  Transport failures still raise
+        The gateway relays every frame it forwards — unary requests and
+        stream frames alike — through this and hands back whatever the
+        backend answered: typed interpretation happens at the edge client,
+        not mid-path.  Transport failures still raise
         :class:`DjinnConnectionError`.
         """
         return self._exchange(request)
-
-    def roundtrip(self, request: Message) -> Message:
-        """One typed unary exchange: send ``request``, type the reply.
-
-        Like :meth:`exchange` but with the unary error mapping applied —
-        ERROR, DEADLINE_EXCEEDED, and OVERLOADED frames raise their typed
-        exceptions instead of being handed back.  The gateway relays
-        ``APP_REQUEST`` frames through this so typed rejections drive its
-        retry/pass-through decisions exactly as they do for :meth:`infer`.
-        """
-        return self._roundtrip(request)
 
     def _roundtrip(self, request: Message) -> Message:
         response = self._exchange(request)

@@ -23,7 +23,6 @@ import logging
 import socket
 import threading
 import time
-from contextlib import nullcontext
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -33,23 +32,91 @@ from ..obs.profile import LayerTimer
 from ..obs.slo import BurnRateMonitor
 from ..obs.trace import Tracer, get_tracer
 from ..sched import DeadlineExceededError
+# bound as a module, names resolved per call: tonic.serve itself imports
+# repro.core, so whichever package loads first sees the other half-built
+from ..tonic import serve as tonic_serve
 from . import faultsite
 from .batching import BatchingExecutor, BatchPolicy
 from .procpool import parse_workers
-from .protocol import FrameReader, Message, MessageType, ProtocolError, send_message
+from .protocol import (KIND_TEXT, FrameReader, Message, MessageType,
+                       ProtocolError, send_message)
 from .registry import ModelRegistry
 from .session import SessionLimitError, SessionManager, TensorStreamApp
 from .stats import ServiceStats
 
-__all__ = ["TcpServiceBase", "DjinnServer"]
+__all__ = ["TcpServiceBase", "UnaryContext", "DjinnServer"]
+
+
+class UnaryContext:
+    """One unary request's state at one tier (a backend or the gateway).
+
+    Use only as ``with UnaryContext(...) as ctx`` around the request's
+    handling: construction opens the tier's span when the request is traced
+    (QoS fields as attrs), stamps the start and re-anchors the deadline;
+    leaving the block closes the span.  It carries what every stage reads
+    and owns what stages would otherwise repeat — reply stamping and span
+    emission behind one ``traced`` test.
+    """
+
+    __slots__ = ("request", "tracer", "span", "traced", "start", "deadline_s",
+                 "trace", "exemplar", "_span_cm")
+
+    def __init__(self, service: "TcpServiceBase", request: Message,
+                 span_name: str, category: str):
+        self.request = request
+        tracer = self.tracer = service.tracer
+        #: the tier's span, ``(trace_id, parent_span_id)`` for work done on
+        #: the request's behalf elsewhere (executor, pool), and the latency
+        #: histogram's handle back to the trace — all ``None`` when untraced
+        self.span = self.trace = self.exemplar = self._span_cm = None
+        self.traced = bool(request.trace_id) and tracer.enabled
+        if self.traced:
+            self._span_cm = tracer.span(
+                span_name, category=category, trace_id=request.trace_id,
+                parent_id=request.span_id, model=request.name)
+            span = self.span = self._span_cm.__enter__()
+        # stamped right behind the span's own start: whatever follows is
+        # inside the request's first stage, not an unattributed gap
+        self.start = service._clock()
+        # re-anchor the wire's *remaining budget* on this host's clock; the
+        # absolute deadline then flows through queueing untouched
+        self.deadline_s = (self.start + request.deadline_ms / 1e3
+                           if request.deadline_ms else None)
+        if self.traced:
+            if request.has_qos:
+                span.set(deadline_ms=request.deadline_ms,
+                         priority=request.priority, tenant=request.tenant)
+            self.trace = span.trace_id, span.span_id
+            self.exemplar = f"{span.trace_id:016x}"
+
+    def __enter__(self) -> "UnaryContext":
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._span_cm is not None:
+            return self._span_cm.__exit__(*exc_info)
+
+    def reply(self, mtype: MessageType, **fields) -> Message:
+        """A frame for the caller, stamped with its trace context."""
+        request = self.request
+        return Message(mtype, trace_id=request.trace_id,
+                       span_id=request.span_id, **fields)
+
+    def add_span(self, name: str, start_s: float, end_s: float,
+                 category: str, **attrs):
+        """Record a timed child of the request's span (``None`` untraced)."""
+        if self.traced:
+            return self.tracer.add_span(name, start_s, end_s, *self.trace,
+                                        category=category, **attrs)
 
 
 class TcpServiceBase:
     """Threaded TCP server skeleton for the DjiNN wire protocol.
 
-    Subclasses implement :meth:`_handle` (dispatch one request; return
-    ``False`` to drop the connection) and may override :meth:`_on_start` /
-    :meth:`_on_stop` for extra lifecycle work.  ``stop()`` hard-closes live
+    Subclasses fill ``_data_plane`` (their request types), implement the
+    three control-plane hooks :meth:`_handle` answers from, and may
+    override :meth:`_on_start` / :meth:`_on_stop` for extra lifecycle work.
+    They also provide ``tracer`` and ``_clock``.  ``stop()`` hard-closes live
     connections so blocked workers unwind and clients see a transport error
     immediately — from a gateway's point of view this is exactly what a
     killed instance looks like.
@@ -60,6 +127,9 @@ class TcpServiceBase:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self._host, self._port = host, port
+        #: MessageType -> handler(conn, request) for the subclass's
+        #: data-plane frames (see :meth:`_handle`)
+        self._data_plane = {}
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._conns = []
@@ -192,7 +262,46 @@ class TcpServiceBase:
             self._on_disconnect(conn)
 
     def _handle(self, conn: socket.socket, request: Message) -> bool:
-        """Dispatch one request; returns False to drop the connection."""
+        """Dispatch one request; returns False to drop the connection.
+
+        Data-plane frames go to the subclass's ``_data_plane`` table — a
+        handler returns the reply to send, or ``None`` when it sent one
+        itself.  The control plane (LIST / STATS / METRICS / SHUTDOWN) is
+        answered here from the three hooks below.
+        """
+        handler = self._data_plane.get(request.type)
+        if handler is not None:
+            reply = handler(conn, request)
+        elif request.type == MessageType.LIST_REQUEST:
+            reply = Message(MessageType.LIST_RESPONSE,
+                            text="\n".join(self._model_names()))
+        elif request.type == MessageType.STATS_REQUEST:
+            reply = Message(MessageType.STATS_RESPONSE,
+                            text=json.dumps(self._stats_snapshot()))
+        elif request.type == MessageType.METRICS_REQUEST:
+            reply = Message(MessageType.METRICS_RESPONSE,
+                            text=json.dumps(self._metrics_dump()))
+        elif request.type == MessageType.SHUTDOWN:
+            self._safe_send(conn, Message(MessageType.SHUTDOWN))
+            threading.Thread(target=self.stop, daemon=True).start()
+            return False
+        else:
+            reply = Message(MessageType.ERROR,
+                            text=f"unexpected message type {request.type}")
+        if reply is not None:
+            self._safe_send(conn, reply)
+        return True
+
+    def _model_names(self):
+        """Subclass hook: the names a LIST_REQUEST answers with."""
+        raise NotImplementedError
+
+    def _stats_snapshot(self) -> dict:
+        """Subclass hook: the JSON-able body of a STATS_RESPONSE."""
+        raise NotImplementedError
+
+    def _metrics_dump(self) -> dict:
+        """Subclass hook: the registry dump a METRICS_RESPONSE carries."""
         raise NotImplementedError
 
     def _on_disconnect(self, conn: socket.socket) -> None:
@@ -205,6 +314,12 @@ class TcpServiceBase:
         """
 
     @staticmethod
+    def _reply(request: Message, mtype: MessageType, **fields) -> Message:
+        """A reply frame echoing ``request``'s trace context."""
+        return Message(mtype, trace_id=request.trace_id,
+                       span_id=request.span_id, **fields)
+
+    @staticmethod
     def _safe_send(conn: socket.socket, message: Message) -> None:
         try:
             send_message(conn, message)
@@ -214,6 +329,12 @@ class TcpServiceBase:
 
 class DjinnServer(TcpServiceBase):
     """DNN-as-a-service over TCP.
+
+    Every unary request — a tensor ``INFER_REQUEST`` or a raw-payload
+    ``APP_REQUEST`` — is served by one routine, :meth:`_serve_unary`:
+    per-kind *prepare*, then one dead-on-arrival check, one dispatch rule
+    (batching executor / bare pool slot / inline), one exception → frame
+    table and one reply path (``docs/architecture.md``, "Request lifecycle").
 
     Parameters
     ----------
@@ -317,6 +438,13 @@ class DjinnServer(TcpServiceBase):
         layer_cache=None,
     ):
         super().__init__(host=host, port=port)
+        self._data_plane = {
+            MessageType.INFER_REQUEST: self._serve_unary,
+            MessageType.APP_REQUEST: self._serve_unary,
+            MessageType.STREAM_OPEN: self._handle_stream_open,
+            MessageType.STREAM_CHUNK: self._handle_stream_chunk,
+            MessageType.STREAM_CLOSE: self._handle_stream_close,
+        }
         if service_floor_s < 0:
             raise ValueError(f"service_floor_s must be >= 0, got {service_floor_s}")
         if sched is not None and not batching:
@@ -412,197 +540,13 @@ class DjinnServer(TcpServiceBase):
                 dump = merge_dumps([dump] + worker_dumps)
         return dump
 
+    def _model_names(self):
+        return self.registry.names()
+
+    def _stats_snapshot(self) -> dict:
+        return self.stats.snapshot()
+
     # ------------------------------------------------------------- serving
-    def _handle(self, conn: socket.socket, request: Message) -> bool:
-        if request.type == MessageType.INFER_REQUEST:
-            self._handle_infer(conn, request)
-            return True
-        if request.type == MessageType.APP_REQUEST:
-            self._handle_app(conn, request)
-            return True
-        if request.type == MessageType.LIST_REQUEST:
-            self._safe_send(
-                conn,
-                Message(MessageType.LIST_RESPONSE, text="\n".join(self.registry.names())),
-            )
-            return True
-        if request.type == MessageType.STATS_REQUEST:
-            self._safe_send(
-                conn,
-                Message(MessageType.STATS_RESPONSE, text=json.dumps(self.stats.snapshot())),
-            )
-            return True
-        if request.type == MessageType.METRICS_REQUEST:
-            self._safe_send(
-                conn,
-                Message(MessageType.METRICS_RESPONSE,
-                        text=json.dumps(self._metrics_dump())),
-            )
-            return True
-        if request.type == MessageType.STREAM_OPEN:
-            self._handle_stream_open(conn, request)
-            return True
-        if request.type == MessageType.STREAM_CHUNK:
-            self._handle_stream_chunk(conn, request)
-            return True
-        if request.type == MessageType.STREAM_CLOSE:
-            self._handle_stream_close(conn, request)
-            return True
-        if request.type == MessageType.SHUTDOWN:
-            self._safe_send(conn, Message(MessageType.SHUTDOWN))
-            threading.Thread(target=self.stop, daemon=True).start()
-            return False
-        self._safe_send(
-            conn, Message(MessageType.ERROR, text=f"unexpected message type {request.type}")
-        )
-        return True
-
-    def _handle_infer(self, conn: socket.socket, request: Message) -> None:
-        clock = self._clock
-        tracer = self.tracer
-        traced = bool(request.trace_id) and tracer.enabled
-        span_cm = (
-            tracer.span("backend.infer", category="backend",
-                        trace_id=request.trace_id, parent_id=request.span_id,
-                        model=request.name)
-            if traced else nullcontext(None)
-        )
-        with span_cm as span:
-            start = clock()
-            lease = None
-            # re-anchor the wire's *remaining budget* on this host's clock;
-            # the absolute deadline then flows through queueing untouched
-            deadline_s = (start + request.deadline_ms / 1e3
-                          if request.deadline_ms else None)
-            if traced and request.has_qos:
-                span.set(deadline_ms=request.deadline_ms,
-                         priority=request.priority, tenant=request.tenant)
-            try:
-                if request.tensor is None:
-                    raise ValueError("inference request carries no tensor")
-                net = self.registry.get(request.name)
-                inputs = request.tensor
-                if inputs.shape[1:] != net.input_shape:
-                    raise ValueError(
-                        f"model {request.name!r} expects inputs of shape "
-                        f"(n, {', '.join(map(str, net.input_shape))}), got {inputs.shape}"
-                    )
-                if deadline_s is not None and clock() >= deadline_s:
-                    # dead on arrival: reject on every serve path (the
-                    # scheduler handles in-queue expiry; this covers the
-                    # bare and pool paths, and budgets spent in transit)
-                    now = clock()
-                    self._sched_expired.labels(model=request.name or "?").inc()
-                    if traced:
-                        tracer.add_span(
-                            "sched.expire", start, now, span.trace_id,
-                            span.span_id, category="sched",
-                            model=request.name,
-                            late_ms=round((now - deadline_s) * 1e3, 3))
-                    raise DeadlineExceededError(request.name, now - deadline_s)
-                use_executor = self._executor is not None
-                if (use_executor and self._executor is self._pool
-                        and len(inputs) > self._pool.max_batch):
-                    # a single request larger than the pool slot envelope:
-                    # serve it in-parent on the legacy path rather than fail
-                    use_executor = False
-                pre_end = clock()
-                self._stage_seconds.labels(
-                    model=request.name,
-                    stage="preprocess").inc(pre_end - start)
-                if traced:
-                    tracer.add_span("preprocess", start, pre_end,
-                                    span.trace_id, span.span_id,
-                                    category="backend", model=request.name)
-                if use_executor:
-                    # zero-copy: serialize the response straight from the
-                    # batch output (a plan's output slab on the planned
-                    # path, a shm response slot on the proc-pool path),
-                    # releasing the lease only after the send
-                    kwargs = {}
-                    if request.has_qos and self._executor is not self._pool:
-                        # the bare pool has no queue to schedule; its
-                        # deadline handling is the dead-on-arrival check
-                        kwargs["qos"] = (
-                            deadline_s if deadline_s is not None
-                            else float("inf"),
-                            request.priority, request.tenant)
-                    lease = self._executor.submit_lease(
-                        request.name, inputs,
-                        trace=(span.trace_id, span.span_id) if traced else None,
-                        **kwargs,
-                    )
-                    outputs = lease.outputs
-                else:
-                    timer = (LayerTimer(clock)
-                             if traced and self.profile_layers else None)
-                    forward_start = clock()
-                    outputs = net.forward(inputs, timer=timer)
-                    forward_end = clock()
-                    if traced:
-                        fspan = tracer.add_span(
-                            "net.forward", forward_start, forward_end,
-                            span.trace_id, span.span_id, category="compute",
-                            model=request.name, batch_size=len(inputs))
-                        if timer is not None:
-                            timer.emit_spans(tracer, span.trace_id, fspan.span_id)
-                    if self._floor_s:
-                        remaining = self._floor_s - (clock() - start)
-                        if remaining > 0:
-                            time.sleep(remaining)
-            except DeadlineExceededError as exc:
-                # typed rejection, not an ERROR: the request was valid, its
-                # budget was simply spent (the scheduler counts queue-side
-                # expiries; the dead-on-arrival check above counts its own)
-                self._record_slo(request.name, "expired")
-                self._safe_send(conn, Message(MessageType.DEADLINE_EXCEEDED,
-                                              text=str(exc),
-                                              trace_id=request.trace_id,
-                                              span_id=request.span_id))
-                return
-            except (KeyError, ValueError) as exc:
-                reason = "unknown_model" if isinstance(exc, KeyError) else "bad_request"
-                self._errors.labels(model=request.name or "?", reason=reason).inc()
-                self._safe_send(conn, Message(MessageType.ERROR, text=str(exc),
-                                              trace_id=request.trace_id,
-                                              span_id=request.span_id))
-                return
-            try:
-                finish = clock()
-                # respond starts when the executor handed the result over:
-                # the worker's delivery stamp when available (the gap up to
-                # ``finish`` is this thread waking up, part of responding)
-                respond_start = finish
-                if lease is not None:
-                    delivered = getattr(lease, "delivered_s", 0.0)
-                    if 0.0 < delivered < finish:
-                        respond_start = delivered
-                self.stats.record(
-                    request.name, finish - start, inputs=len(inputs),
-                    exemplar=f"{span.trace_id:016x}" if traced else None)
-                if deadline_s is not None:
-                    self._record_slo(
-                        request.name,
-                        "met" if finish <= deadline_s else "missed")
-                response = Message(MessageType.INFER_RESPONSE, name=request.name,
-                                   tensor=outputs, trace_id=request.trace_id,
-                                   span_id=request.span_id)
-                self._safe_send(conn, response)
-                send_end = clock()
-                # respond covers everything after the forward: accounting,
-                # response serialization (straight from the lease's slab on
-                # the zero-copy path), and the socket send
-                self._stage_seconds.labels(
-                    model=request.name,
-                    stage="respond").inc(send_end - respond_start)
-                if traced:
-                    tracer.add_span("backend.respond", respond_start, send_end,
-                                    span.trace_id, span.span_id, category="network")
-            finally:
-                if lease is not None:
-                    lease.release()
-
-    # ----------------------------------------------------------- app serving
     def _app_for(self, name: str):
         """The TonicApp serving ``name``'s APP_REQUEST traffic.
 
@@ -614,10 +558,8 @@ class DjinnServer(TcpServiceBase):
         """
         app = self._apps.get(name)
         if app is None and not self._apps_built:
-            from ..tonic.serve import build_default_apps
-
             self._apps_built = True
-            for key, built in build_default_apps(self.registry).items():
+            for key, built in tonic_serve.build_default_apps(self.registry).items():
                 self._apps.setdefault(key, built)
             app = self._apps.get(name)
         if app is None:
@@ -626,150 +568,217 @@ class DjinnServer(TcpServiceBase):
                 f"{sorted(self._apps)}")
         return app
 
-    def _handle_app(self, conn: socket.socket, request: Message) -> None:
-        """Serve one v5 APP_REQUEST: raw payload in, application answer out.
-
-        The whole Tonic pipeline runs server-side: the app's batched
-        preprocess/postprocess kernels in the executor's worker context
-        (coalescing with every other raw request for the model), the DNN
-        stage through the same plan/slot-ring path as tensor traffic.
-        Without a batching executor the three stages run inline on this
-        connection's thread.
-        """
-        from ..tonic.serve import decode_raw, jsonable_result
-
-        clock = self._clock
-        tracer = self.tracer
-        traced = bool(request.trace_id) and tracer.enabled
-        span_cm = (
-            tracer.span("backend.app", category="backend",
-                        trace_id=request.trace_id, parent_id=request.span_id,
-                        model=request.name)
-            if traced else nullcontext(None)
-        )
-        with span_cm as span:
-            start = clock()
-            deadline_s = (start + request.deadline_ms / 1e3
-                          if request.deadline_ms else None)
-            if traced and request.has_qos:
-                span.set(deadline_ms=request.deadline_ms,
-                         priority=request.priority, tenant=request.tenant)
-            try:
-                app = self._app_for(request.name)
-                raw = decode_raw(request)
-                if deadline_s is not None and clock() >= deadline_s:
-                    now = clock()
-                    self._sched_expired.labels(model=request.name or "?").inc()
-                    if traced:
-                        tracer.add_span(
-                            "sched.expire", start, now, span.trace_id,
-                            span.span_id, category="sched",
-                            model=request.name,
-                            late_ms=round((now - deadline_s) * 1e3, 3))
-                    raise DeadlineExceededError(request.name, now - deadline_s)
-                trace_ctx = (span.trace_id, span.span_id) if traced else None
-                if self._executor is not None and self._executor is not self._pool:
-                    kwargs = {}
-                    if request.has_qos:
-                        kwargs["qos"] = (
-                            deadline_s if deadline_s is not None
-                            else float("inf"),
-                            request.priority, request.tenant)
-                    result = self._executor.submit_app(
-                        request.name, app, raw, trace=trace_ctx, **kwargs)
-                else:
-                    result = self._run_app_inline(
-                        request.name, app, raw, trace_ctx)
-            except DeadlineExceededError as exc:
-                self._record_slo(request.name, "expired")
-                self._safe_send(conn, Message(MessageType.DEADLINE_EXCEEDED,
-                                              text=str(exc),
-                                              trace_id=request.trace_id,
-                                              span_id=request.span_id))
-                return
-            except (KeyError, ValueError) as exc:
-                reason = ("unknown_model" if isinstance(exc, KeyError)
-                          else "bad_request")
-                self._errors.labels(model=request.name or "?",
-                                    reason=reason).inc()
-                self._safe_send(conn, Message(MessageType.ERROR, text=str(exc),
-                                              trace_id=request.trace_id,
-                                              span_id=request.span_id))
-                return
-            finish = clock()
-            self.stats.record(
-                request.name, finish - start, inputs=1,
-                exemplar=f"{span.trace_id:016x}" if traced else None)
-            if deadline_s is not None:
-                self._record_slo(
-                    request.name, "met" if finish <= deadline_s else "missed")
-            from .protocol import KIND_TEXT
-
-            self._safe_send(conn, Message(
-                MessageType.APP_RESPONSE, name=request.name,
-                text=json.dumps(jsonable_result(result)),
-                payload_kind=KIND_TEXT,
-                trace_id=request.trace_id, span_id=request.span_id))
-            send_end = clock()
-            self._stage_seconds.labels(
-                model=request.name, stage="respond").inc(send_end - finish)
-            if traced:
-                tracer.add_span("backend.respond", finish, send_end,
-                                span.trace_id, span.span_id,
-                                category="network")
-
-    def _run_app_inline(self, name: str, app, raw, trace_ctx) -> object:
-        """Bare serving: preprocess/forward/postprocess on this thread.
-
-        Used when no batching executor is armed (bare threaded serving, or
-        a bare proc pool — whose slot ring still runs the forward).
-        """
-        clock = self._clock
-        tracer = self.tracer
-        net = self.registry.get(name)
-        if faultsite.active is not None:
-            faultsite.active.on_preprocess(name)
-        pre_start = clock()
-        inputs = np.asarray(app.preprocess(raw), dtype=np.float32)
-        pre_end = clock()
-        self._stage_seconds.labels(
-            model=name, stage="preprocess").inc(pre_end - pre_start)
-        if trace_ctx is not None:
-            tid, parent = trace_ctx
-            tracer.add_span("app.preprocess", pre_start, pre_end, tid, parent,
-                            category="app", model=name, rows=len(inputs))
+    @staticmethod
+    def _check_shape(name: str, net, inputs: np.ndarray) -> None:
         if inputs.shape[1:] != net.input_shape:
             raise ValueError(
                 f"model {name!r} expects inputs of shape "
-                f"(n, {', '.join(map(str, net.input_shape))}), "
-                f"got {inputs.shape}")
-        if self._pool is not None and len(inputs) <= self._pool.max_batch:
-            outputs = self._pool.submit(name, inputs, trace=trace_ctx)
-        else:
-            forward_start = clock()
-            outputs = net.forward(inputs)
+                f"(n, {', '.join(map(str, net.input_shape))}), got {inputs.shape}"
+            )
+
+    def _prepare(self, request: Message):
+        """The per-kind half of a unary request: ``(net, inputs, app, raw)``.
+
+        A tensor request yields its validated rows (``app``/``raw`` None); a
+        raw-payload request yields the serving app and the decoded payload
+        (``inputs`` None until preprocess runs).
+        """
+        if request.type == MessageType.APP_REQUEST:
+            app = self._app_for(request.name)
+            return (self.registry.get(request.name), None, app,
+                    tonic_serve.decode_raw(request))
+        if request.tensor is None:
+            raise ValueError("inference request carries no tensor")
+        net = self.registry.get(request.name)
+        self._check_shape(request.name, net, request.tensor)
+        return net, request.tensor, None, None
+
+    def _serve_unary(self, conn: socket.socket, request: Message) -> None:
+        """Serve one INFER_REQUEST or APP_REQUEST — the only unary routine.
+
+        Only :meth:`_prepare` and the reply constructor differ per kind.  A
+        tensor request answers with the output rows; a raw-payload request
+        runs the whole Tonic pipeline server-side (the app's batched
+        preprocess/postprocess kernels in the executor's worker context,
+        coalescing with every other raw request for the model) and answers
+        with the application's JSON.  Dispatch: a batching executor takes
+        either kind; without one :meth:`_run_inline` serves on this
+        connection's thread (riding a bare pool's slot when the rows fit).
+        """
+        clock = self._clock
+        name = request.name
+        is_app = request.type == MessageType.APP_REQUEST
+        with UnaryContext(self, request,
+                          "backend.app" if is_app else "backend.infer",
+                          "backend") as ctx:
+            start, deadline_s = ctx.start, ctx.deadline_s
+            lease = None
+            try:
+                try:
+                    net, inputs, app, raw = self._prepare(request)
+                    if deadline_s is not None and clock() >= deadline_s:
+                        # dead on arrival: reject on every serve path (the
+                        # scheduler handles in-queue expiry; this covers the
+                        # bare and pool paths, and budgets spent in transit)
+                        now = clock()
+                        self._sched_expired.labels(model=name or "?").inc()
+                        ctx.add_span(
+                            "sched.expire", start, now, "sched", model=name,
+                            late_ms=round((now - deadline_s) * 1e3, 3))
+                        raise DeadlineExceededError(name, now - deadline_s)
+                    pre_end = clock()
+                    if self._executor is self._pool:  # no batching executor
+                        result, lease = self._run_inline(
+                            ctx, net, inputs, app, raw)
+                    else:
+                        qos = None
+                        if request.has_qos:
+                            qos = (deadline_s if deadline_s is not None
+                                   else float("inf"),
+                                   request.priority, request.tenant)
+                        if is_app:
+                            result = self._executor.submit_app(
+                                name, app, raw, trace=ctx.trace, qos=qos)
+                        else:
+                            # zero-copy: serialize the response straight
+                            # from the batch output (a plan's output slab,
+                            # or a shm response slot on the proc-pool
+                            # path), releasing the lease only after the send
+                            lease = self._lease_rows(name, inputs, ctx.trace,
+                                                     qos)
+                            result = lease.outputs
+                except (DeadlineExceededError, KeyError, ValueError) as exc:
+                    self._safe_send(conn, self._refusal(ctx, exc))
+                    return
+                finish = clock()
+                # the prepare window is accounted now, inside the respond
+                # window, not in the gap between it and the dispatch
+                self._stage_seconds.labels(
+                    model=name, stage="preprocess").inc(pre_end - start)
+                ctx.add_span("preprocess", start, pre_end, "backend",
+                             model=name)
+                # respond starts when the executor handed the result over:
+                # the worker's delivery stamp when available (the gap up to
+                # ``finish`` is this thread waking up, part of responding)
+                respond_start = finish
+                if lease is not None:
+                    delivered = getattr(lease, "delivered_s", 0.0)
+                    if 0.0 < delivered < finish:
+                        respond_start = delivered
+                self.stats.record(
+                    name, finish - start, inputs=1 if is_app else len(inputs),
+                    exemplar=ctx.exemplar)
+                if deadline_s is not None:
+                    self._record_slo(
+                        name, "met" if finish <= deadline_s else "missed")
+                if is_app:
+                    reply = ctx.reply(
+                        MessageType.APP_RESPONSE, name=name,
+                        text=json.dumps(tonic_serve.jsonable_result(result)),
+                        payload_kind=KIND_TEXT)
+                else:
+                    reply = ctx.reply(MessageType.INFER_RESPONSE, name=name,
+                                      tensor=result)
+                self._safe_send(conn, reply)
+                send_end = clock()
+                # respond covers everything after the forward: accounting,
+                # response serialization (straight from the lease's slab on
+                # the zero-copy path), and the socket send
+                self._stage_seconds.labels(
+                    model=name, stage="respond").inc(send_end - respond_start)
+                ctx.add_span("backend.respond", respond_start, send_end,
+                             "network")
+            finally:
+                if lease is not None:
+                    lease.release()
+
+    def _refusal(self, ctx: UnaryContext, exc: Exception) -> Message:
+        """The one exception → frame table of the unary path.
+
+        ``DeadlineExceededError`` → DEADLINE_EXCEEDED (SLO outcome
+        ``expired``), ``KeyError`` → ERROR ``unknown_model``,
+        ``ValueError`` → ERROR ``bad_request``.
+        """
+        name = ctx.request.name
+        if isinstance(exc, DeadlineExceededError):
+            # typed rejection, not an ERROR: the request was valid, its
+            # budget was simply spent (the scheduler counts queue-side
+            # expiries; the dead-on-arrival check counts its own)
+            self._record_slo(name, "expired")
+            return ctx.reply(MessageType.DEADLINE_EXCEEDED, text=str(exc))
+        reason = "unknown_model" if isinstance(exc, KeyError) else "bad_request"
+        self._errors.labels(model=name or "?", reason=reason).inc()
+        return ctx.reply(MessageType.ERROR, text=str(exc))
+
+    def _lease_rows(self, name: str, rows: np.ndarray, trace=None, qos=None):
+        """Run ``rows`` on whatever executes forwards here; ``None`` means
+        forward them in-parent: bare threaded serving, or a single request
+        larger than a bare pool's slot envelope (served on the legacy path
+        rather than failed).  The bare pool has no queue to schedule, so
+        only a batching executor takes ``qos``."""
+        if self._executor is not self._pool:
+            return self._executor.submit_lease(name, rows, trace=trace, qos=qos)
+        if self._pool is None or len(rows) > self._pool.max_batch:
+            return None
+        return self._pool.submit_lease(name, rows, trace=trace)
+
+    def _run_inline(self, ctx: UnaryContext, net, inputs, app, raw):
+        """Bare serving on this connection's thread: ``(result, lease)``.
+
+        Optional preprocess → forward (a bare pool's slot ring when the
+        rows fit, else ``net.forward``) → optional postprocess, each
+        accounted as its stage.  The service floor is anchored at this
+        routine's own start, as the executor anchors at ``rec.start``.  An
+        app's answer is an owned object, so only a tensor result comes back
+        with a slot lease still to release.
+        """
+        clock = self._clock
+        name = ctx.request.name
+        stage = self._stage_seconds
+        begin = clock()
+        if app is not None:
+            if faultsite.active is not None:
+                faultsite.active.on_preprocess(name)
+            inputs = np.asarray(app.preprocess(raw), dtype=np.float32)
+            pre_end = clock()
+            stage.labels(model=name, stage="preprocess").inc(pre_end - begin)
+            ctx.add_span("app.preprocess", begin, pre_end, "app", model=name,
+                         rows=len(inputs))
+            self._check_shape(name, net, inputs)
+        forward_start = clock()
+        lease = self._lease_rows(name, inputs, ctx.trace)
+        if lease is not None:
+            # the pool recorded its own net.forward span; an app's rows are
+            # copied out so its postprocess holds no slot
+            outputs = lease.outputs
+            if app is not None:
+                with lease:
+                    outputs = np.array(outputs, copy=True)
+                lease = None
             forward_end = clock()
-            self._stage_seconds.labels(
-                model=name, stage="net.forward").inc(forward_end - forward_start)
-            if trace_ctx is not None:
-                tid, parent = trace_ctx
-                tracer.add_span("net.forward", forward_start, forward_end,
-                                tid, parent, category="compute", model=name,
-                                batch_size=len(inputs))
+        else:
+            timer = (LayerTimer(clock)
+                     if ctx.traced and self.profile_layers else None)
+            outputs = net.forward(inputs, timer=timer)
+            forward_end = clock()
+            fspan = ctx.add_span("net.forward", forward_start, forward_end,
+                                 "compute", model=name, batch_size=len(inputs))
+            if timer is not None:
+                timer.emit_spans(ctx.tracer, fspan.trace_id, fspan.span_id)
             if self._floor_s:
-                remaining = self._floor_s - (clock() - forward_start)
+                remaining = self._floor_s - (clock() - begin)
                 if remaining > 0:
                     time.sleep(remaining)
+        stage.labels(model=name, stage="net.forward").inc(
+            forward_end - forward_start)
+        if app is None:
+            return outputs, lease
         post_start = clock()
         result = app.postprocess(outputs, raw)
         post_end = clock()
-        self._stage_seconds.labels(
-            model=name, stage="postprocess").inc(post_end - post_start)
-        if trace_ctx is not None:
-            tid, parent = trace_ctx
-            tracer.add_span("app.postprocess", post_start, post_end, tid,
-                            parent, category="app", model=name)
-        return result
+        stage.labels(model=name, stage="postprocess").inc(post_end - post_start)
+        ctx.add_span("app.postprocess", post_start, post_end, "app", model=name)
+        return result, None
 
     # ------------------------------------------------------------ streaming
     def _stream_dnn(self, name: str, net) -> Callable:
@@ -781,13 +790,9 @@ class DjinnServer(TcpServiceBase):
         copied out because stream decode outlives the lease.
         """
         def dnn(batch: np.ndarray) -> np.ndarray:
-            use_executor = self._executor is not None
-            if (use_executor and self._executor is self._pool
-                    and len(batch) > self._pool.max_batch):
-                use_executor = False
-            if not use_executor:
+            lease = self._lease_rows(name, batch)
+            if lease is None:
                 return net.forward(batch)
-            lease = self._executor.submit_lease(name, batch)
             try:
                 return np.array(lease.outputs, copy=True)
             finally:
@@ -819,6 +824,12 @@ class DjinnServer(TcpServiceBase):
                 pass  # output narrower than the HMM: generic fallback
         return TensorStreamApp(net, dnn)
 
+    def _stream_send(self, conn: socket.socket, request: Message,
+                     mtype: MessageType, **fields) -> None:
+        """Send one stream-scoped reply (the request's stream id echoed)."""
+        self._safe_send(conn, self._reply(
+            request, mtype, stream_id=request.stream_id, **fields))
+
     def _handle_stream_open(self, conn: socket.socket, request: Message) -> None:
         model = request.name
         try:
@@ -827,62 +838,46 @@ class DjinnServer(TcpServiceBase):
             self._errors.labels(model=model or "?", reason="unknown_model").inc()
             self._streams_total.labels(model=model or "?",
                                        outcome="rejected").inc()
-            self._safe_send(conn, Message(
-                MessageType.ERROR, text=str(exc),
-                stream_id=request.stream_id,
-                trace_id=request.trace_id, span_id=request.span_id))
+            self._stream_send(conn, request, MessageType.ERROR, text=str(exc))
             return
         try:
             session = self.sessions.open(id(conn), request.stream_id, model, app)
         except SessionLimitError as exc:
             self._streams_total.labels(model=model, outcome="rejected").inc()
-            self._safe_send(conn, Message(
-                MessageType.SESSION_LIMIT,
-                text=json.dumps({"error": str(exc), "limit": exc.limit}),
-                stream_id=request.stream_id,
-                trace_id=request.trace_id, span_id=request.span_id))
+            self._stream_send(
+                conn, request, MessageType.SESSION_LIMIT,
+                text=json.dumps({"error": str(exc), "limit": exc.limit}))
             return
         except ValueError as exc:  # duplicate stream id on this connection
             self._errors.labels(model=model, reason="bad_request").inc()
-            self._safe_send(conn, Message(
-                MessageType.ERROR, text=str(exc),
-                stream_id=request.stream_id,
-                trace_id=request.trace_id, span_id=request.span_id))
+            self._stream_send(conn, request, MessageType.ERROR, text=str(exc))
             return
         session.trace_id, session.span_id = request.trace_id, request.span_id
         session.priority, session.tenant = request.priority, request.tenant
         self._stream_sessions.set(len(self.sessions))
-        self._safe_send(conn, Message(
-            MessageType.STREAM_OPEN, name=model, stream_id=request.stream_id,
-            trace_id=request.trace_id, span_id=request.span_id))
+        self._stream_send(conn, request, MessageType.STREAM_OPEN, name=model)
 
     def _handle_stream_chunk(self, conn: socket.socket, request: Message) -> None:
         clock = self._clock
         session = self.sessions.get(id(conn), request.stream_id)
         if session is None:
-            self._safe_send(conn, Message(
-                MessageType.ERROR,
-                text=f"unknown or closed stream {request.stream_id}",
-                stream_id=request.stream_id,
-                trace_id=request.trace_id, span_id=request.span_id))
+            self._stream_send(
+                conn, request, MessageType.ERROR,
+                text=f"unknown or closed stream {request.stream_id}")
             return
         if (faultsite.active is not None
                 and faultsite.active.on_stream_chunk(session.model)):
             # injected mid-stream drop: the chunk is discarded and the
             # stream aborted with a typed, stream-scoped error
             self._abort_session(session, "drop")
-            self._safe_send(conn, Message(
-                MessageType.ERROR,
-                text=f"injected stream chunk drop ({session.model})",
-                stream_id=request.stream_id,
-                trace_id=request.trace_id, span_id=request.span_id))
+            self._stream_send(
+                conn, request, MessageType.ERROR,
+                text=f"injected stream chunk drop ({session.model})")
             return
         if request.tensor is None:
             self._abort_session(session, "error")
-            self._safe_send(conn, Message(
-                MessageType.ERROR, text="stream chunk carries no tensor",
-                stream_id=request.stream_id,
-                trace_id=request.trace_id, span_id=request.span_id))
+            self._stream_send(conn, request, MessageType.ERROR,
+                              text="stream chunk carries no tensor")
             return
         start = clock()
         try:
@@ -895,10 +890,7 @@ class DjinnServer(TcpServiceBase):
         except (KeyError, ValueError, RuntimeError) as exc:
             self._abort_session(session, "error")
             self._errors.labels(model=session.model, reason="bad_request").inc()
-            self._safe_send(conn, Message(
-                MessageType.ERROR, text=str(exc),
-                stream_id=request.stream_id,
-                trace_id=request.trace_id, span_id=request.span_id))
+            self._stream_send(conn, request, MessageType.ERROR, text=str(exc))
             return
         session.chunks += 1
         self._stream_chunks.labels(model=session.model).inc()
@@ -909,37 +901,30 @@ class DjinnServer(TcpServiceBase):
                 seq=session.chunks)
         if final:
             self._complete_session(session)
-        self._safe_send(conn, Message(
-            MessageType.STREAM_RESULT, name=session.model,
-            text=json.dumps(result), stream_id=request.stream_id,
-            stream_seq=session.chunks, stream_final=final,
-            trace_id=request.trace_id, span_id=request.span_id))
+        self._stream_send(
+            conn, request, MessageType.STREAM_RESULT, name=session.model,
+            text=json.dumps(result), stream_seq=session.chunks,
+            stream_final=final)
 
     def _handle_stream_close(self, conn: socket.socket, request: Message) -> None:
         session = self.sessions.get(id(conn), request.stream_id)
         if session is None:
-            self._safe_send(conn, Message(
-                MessageType.ERROR,
-                text=f"unknown or closed stream {request.stream_id}",
-                stream_id=request.stream_id,
-                trace_id=request.trace_id, span_id=request.span_id))
+            self._stream_send(
+                conn, request, MessageType.ERROR,
+                text=f"unknown or closed stream {request.stream_id}")
             return
         try:
             final = session.app.finish()
         except (KeyError, ValueError, RuntimeError) as exc:
             self._abort_session(session, "error")
-            self._safe_send(conn, Message(
-                MessageType.ERROR, text=str(exc),
-                stream_id=request.stream_id,
-                trace_id=request.trace_id, span_id=request.span_id))
+            self._stream_send(conn, request, MessageType.ERROR, text=str(exc))
             return
         session.chunks += 1
         self._complete_session(session)
-        self._safe_send(conn, Message(
-            MessageType.STREAM_RESULT, name=session.model,
-            text=json.dumps(final), stream_id=request.stream_id,
-            stream_seq=session.chunks, stream_final=True,
-            trace_id=request.trace_id, span_id=request.span_id))
+        self._stream_send(
+            conn, request, MessageType.STREAM_RESULT, name=session.model,
+            text=json.dumps(final), stream_seq=session.chunks,
+            stream_final=True)
 
     def _complete_session(self, session) -> None:
         self.sessions.close(session.conn_key, session.stream_id)

@@ -31,6 +31,7 @@ diffs exactly that).
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from dataclasses import dataclass, field
@@ -55,8 +56,10 @@ from .plan import FaultPlan
 __all__ = ["ChaosReport", "ChaosHarness", "default_registry"]
 
 
+@functools.lru_cache(maxsize=None)
 def default_registry(model: str = "pos") -> ModelRegistry:
-    """The small, fast model the chaos suite exercises by default."""
+    """A single-``model`` registry, built once per name and shared by every
+    run that does not bring its own (``pos`` is the small, fast default)."""
     from ..models import build_spec
 
     registry = ModelRegistry()
@@ -409,7 +412,7 @@ class ChaosHarness:
         The fault schedule.  The harness arms it before the gateway's first
         health sweep, so startup probes are already inside the blast radius.
     registry:
-        Models to serve; defaults to a fresh single-``pos`` registry
+        Models to serve; defaults to the cached single-``model`` registry
         (tests pass a shared one to amortize materialization).
     requests:
         Length of the sequential load loop.

@@ -3,16 +3,16 @@
 Speaks the existing DjiNN wire protocol, so :class:`repro.core.DjinnClient`
 and :class:`repro.core.RemoteBackend` work against it unchanged:
 
-* ``INFER_REQUEST`` — routed to a healthy backend under the configured
-  policy; transport failures burn the retry budget (exponential backoff +
+* ``INFER_REQUEST`` / ``APP_REQUEST`` — one routine for both: routed to a
+  healthy backend under the configured policy and relayed with the payload
+  untouched and the *remaining* deadline budget re-stamped (so for an APP
+  frame the backend runs the whole Tonic preprocess → DNN → postprocess
+  pipeline; apps are named after their models, so routing needs no extra
+  table).  Transport failures burn the retry budget (exponential backoff +
   jitter, failing over to the next candidate) before an ERROR frame is
-  surfaced.  Model-level errors pass through immediately — retrying a
-  request the model rejected wastes the fleet's time.
-* ``APP_REQUEST`` — same routing, retry, admission, and hedging machinery
-  as INFER, but the frame is relayed verbatim (raw payload and all, with
-  the *remaining* deadline budget re-stamped) so the backend runs the
-  whole Tonic preprocess → DNN → postprocess pipeline server-side.  Apps
-  are named after their models, so routing needs no extra table.
+  surfaced; whatever the backend *answers* — the result, or a typed ERROR /
+  DEADLINE_EXCEEDED / OVERLOADED refusal — is relayed as it arrived, never
+  retried: retrying a request the model rejected wastes the fleet's time.
 * ``LIST_REQUEST`` — union of model names across healthy backends.
 * ``STATS_REQUEST`` — per-model stats merged across the fleet (counts and
   qps summed, latency moments weighted by request count), with the
@@ -38,18 +38,13 @@ from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import faultsite
-from ..core.client import (
-    DjinnConnectionError,
-    DjinnDeadlineError,
-    DjinnOverloadedError,
-    DjinnServiceError,
-)
+from ..core.client import DjinnConnectionError, DjinnServiceError
 from ..core.protocol import Message, MessageType
-from ..core.server import TcpServiceBase
+from ..core.server import TcpServiceBase, UnaryContext
 from ..core.stats import ServiceStats
 from ..obs.metrics import MetricsRegistry, merge_dumps
 from ..obs.slo import BurnRateMonitor
-from ..obs.trace import Tracer, get_tracer, log_event
+from ..obs.trace import NOOP_SPAN, Tracer, get_tracer, log_event
 from ..sched import AdmissionController, LatencyModel, QosConfig, Rejection
 from .cache import ResponseCache, response_key
 from .health import HealthChecker
@@ -62,14 +57,12 @@ __all__ = ["GatewayServer", "merge_stats"]
 logger = logging.getLogger("repro.gateway")
 
 
-def _overloaded_message(request: Message, error: str, reason: str,
-                        retry_after_ms: float) -> Message:
-    """Backpressure frame: typed OVERLOADED with a machine-readable body."""
-    return Message(
-        MessageType.OVERLOADED,
-        text=json.dumps({"error": error, "reason": reason,
-                         "retry_after_ms": retry_after_ms}),
-        trace_id=request.trace_id, span_id=request.span_id)
+#: the reply type that answers each unary request kind, and the typed
+#: refusals a backend may send instead (relayed untouched, never retried)
+_ANSWER = {MessageType.INFER_REQUEST: MessageType.INFER_RESPONSE,
+           MessageType.APP_REQUEST: MessageType.APP_RESPONSE}
+_REFUSALS = (MessageType.ERROR, MessageType.DEADLINE_EXCEEDED,
+             MessageType.OVERLOADED)
 
 
 class _HedgeArm:
@@ -192,8 +185,9 @@ class GatewayServer(TcpServiceBase):
     tracer:
         Span collector; defaults to the process tracer (disabled until
         enabled).  Traced requests get ``gateway.infer`` → ``gateway.queue``
-        / ``gateway.backend`` spans, and the trace context is forwarded to
-        the chosen backend on the wire.
+        / ``gateway.backend`` spans; the ``gateway.backend`` span is the
+        trace context forwarded on the wire, so the chosen backend's
+        ``backend.infer`` / ``backend.app`` tree hangs directly under it.
     qos:
         Optional :class:`repro.sched.QosConfig` arming the QoS surface:
         admission control (requests predicted to miss their deadline are
@@ -235,6 +229,13 @@ class GatewayServer(TcpServiceBase):
         cache_mb: float = 0.0,
     ):
         super().__init__(host=host, port=port)
+        self._data_plane = {
+            MessageType.INFER_REQUEST: self._serve_unary,
+            MessageType.APP_REQUEST: self._serve_unary,
+            MessageType.STREAM_OPEN: self._stream_open,
+            MessageType.STREAM_CHUNK: self._stream_forward,
+            MessageType.STREAM_CLOSE: self._stream_forward,
+        }
         self._clock = clock
         self.tracer = tracer if tracer is not None else get_tracer()
         self.metrics = MetricsRegistry()
@@ -340,55 +341,15 @@ class GatewayServer(TcpServiceBase):
         self.health.stop()
         self.pool.close()
 
-    # ------------------------------------------------------------- serving
-    def _handle(self, conn: socket.socket, request: Message) -> bool:
-        if request.type in (MessageType.INFER_REQUEST,
-                            MessageType.APP_REQUEST):
-            self._safe_send(conn, self._forward_infer(request))
-            return True
-        if request.type == MessageType.STREAM_OPEN:
-            self._safe_send(conn, self._stream_open(conn, request))
-            return True
-        if request.type in (MessageType.STREAM_CHUNK, MessageType.STREAM_CLOSE):
-            self._safe_send(conn, self._stream_forward(conn, request))
-            return True
-        if request.type == MessageType.LIST_REQUEST:
-            if not self.pool.model_names():
-                self.health.probe_all()  # nothing cached yet (or fleet was down)
-            self._safe_send(
-                conn,
-                Message(MessageType.LIST_RESPONSE,
-                        text="\n".join(self.pool.model_names())),
-            )
-            return True
-        if request.type == MessageType.STATS_REQUEST:
-            self._safe_send(
-                conn,
-                Message(MessageType.STATS_RESPONSE,
-                        text=json.dumps(self._aggregate_stats())),
-            )
-            return True
-        if request.type == MessageType.METRICS_REQUEST:
-            self._safe_send(
-                conn,
-                Message(MessageType.METRICS_RESPONSE,
-                        text=json.dumps(self._aggregate_metrics())),
-            )
-            return True
-        if request.type == MessageType.SHUTDOWN:
-            self._safe_send(conn, Message(MessageType.SHUTDOWN))
-            threading.Thread(target=self.stop, daemon=True).start()
-            return False
-        self._safe_send(
-            conn, Message(MessageType.ERROR, text=f"unexpected message type {request.type}")
-        )
-        return True
+    def _model_names(self):
+        if not self.pool.model_names():
+            self.health.probe_all()  # nothing cached yet (or fleet was down)
+        return self.pool.model_names()
 
     # ------------------------------------------------------------ streaming
     def _stream_error(self, request: Message, text: str) -> Message:
-        return Message(MessageType.ERROR, text=text,
-                       stream_id=request.stream_id,
-                       trace_id=request.trace_id, span_id=request.span_id)
+        return self._reply(request, MessageType.ERROR, text=text,
+                           stream_id=request.stream_id)
 
     def _stream_open(self, conn: socket.socket, request: Message) -> Message:
         """Pin a new stream to one backend and relay the open handshake."""
@@ -479,54 +440,52 @@ class GatewayServer(TcpServiceBase):
                       stream=key[1])
 
     # ---------------------------------------------------------- forwarding
-    def _forward_infer(self, request: Message) -> Message:
+    def _serve_unary(self, conn: socket.socket, request: Message) -> Message:
+        """Answer one INFER_REQUEST or APP_REQUEST — the only unary routine.
+
+        Both kinds take the same stages over one :class:`UnaryContext`:
+        admission gate → response-cache probe → route / retry / hedge →
+        cache insert → stats and SLO.  The frame is relayed with its
+        payload untouched, so for an APP_REQUEST the backend runs the whole
+        Tonic pipeline server-side.
+        """
         if request.type == MessageType.INFER_REQUEST and request.tensor is None:
-            return Message(MessageType.ERROR, text="inference request carries no tensor",
-                           trace_id=request.trace_id, span_id=request.span_id)
+            return self._reply(request, MessageType.ERROR,
+                               text="inference request carries no tensor")
         if request.type == MessageType.APP_REQUEST and not request.payload_kind:
             # a text app payload legitimately has no tensor, but every APP
             # frame must declare a payload kind — an untyped one is malformed
-            return Message(MessageType.ERROR, text="app request carries no payload",
-                           trace_id=request.trace_id, span_id=request.span_id)
-        clock = self._clock
-        tracer = self.tracer
-        traced = bool(request.trace_id) and tracer.enabled
-        span_cm = (
-            tracer.span("gateway.infer", category="gateway",
-                        trace_id=request.trace_id, parent_id=request.span_id,
-                        model=request.name)
-            if traced else nullcontext(None)
-        )
-        with span_cm as span:
-            start = clock()
-            if traced and request.has_qos:
-                span.set(deadline_ms=request.deadline_ms,
-                         priority=request.priority, tenant=request.tenant)
-            # re-anchor the wire's remaining budget on this host's clock
-            deadline_s = (start + request.deadline_ms / 1e3
-                          if request.deadline_ms else None)
-            response = None
-            if self.qos is not None:
-                response = self._admission_gate(request, deadline_s,
-                                                span, traced)
-            cache_key = None
+            return self._reply(request, MessageType.ERROR,
+                               text="app request carries no payload")
+        with UnaryContext(self, request, "gateway.infer", "gateway") as ctx:
+            response = (self._admission_gate(ctx)
+                        if self.qos is not None else None)
+            cache_key, hit = None, False
             if response is None and self.cache is not None:
                 # probe after admission so shed/expire behavior is
                 # unchanged; a hit never reaches the fleet
-                cache_key, response = self._cache_probe(request, span,
-                                                        traced, start)
+                cache_key, response = self._cache_probe(ctx)
+                hit = response is not None
             if response is None:
                 if (self._hedge_delay_s(request.name) > 0
                         and len(self.pool.healthy()) > 1):
-                    response = self._forward_hedged(request, span, traced,
-                                                    start, deadline_s)
+                    response = self._forward_hedged(ctx)
                 else:
-                    response = self._forward_attempts(request, span, traced,
-                                                      start, deadline_s)
-                    response = self._record_outcome(request, start, response)
+                    response = self._forward_attempts(ctx)
                 self._cache_insert(cache_key, request, response)
-            if deadline_s is not None:
-                self._record_slo(request.name, response, deadline_s)
+            if response.type == _ANSWER[request.type]:
+                elapsed = self._clock() - ctx.start
+                self.stats.record(
+                    request.name, elapsed, exemplar=ctx.exemplar,
+                    inputs=(len(request.tensor) if request.type
+                            == MessageType.INFER_REQUEST else 1))
+                # a hit counts toward throughput stats but never feeds the
+                # latency model: near-zero hit latencies would poison the
+                # admission and hedging estimates of backend service time
+                if not hit:
+                    self.latency.observe(request.name, 1, elapsed)
+            if ctx.deadline_s is not None:
+                self._record_slo(request.name, response, ctx.deadline_s)
             return response
 
     _SLO_OUTCOMES = {
@@ -547,31 +506,31 @@ class GatewayServer(TcpServiceBase):
         self.slo_monitor.check()
 
     # ----------------------------------------------------------- QoS gate
-    def _admission_gate(self, request: Message, deadline_s: Optional[float],
-                        span=None, traced: bool = False) -> Optional[Message]:
+    def _expired(self, ctx: UnaryContext, since: float, where: str,
+                 **attrs) -> Message:
+        """Typed refusal of a request whose budget is already spent: the
+        same DEADLINE_EXCEEDED the backend scheduler would answer with."""
+        model = ctx.request.name
+        now = self._clock()
+        self._gw_expired.labels(model=model).inc()
+        ctx.add_span("sched.expire", since, now, "sched", model=model,
+                     late_ms=round((now - ctx.deadline_s) * 1e3, 3), **attrs)
+        return ctx.reply(MessageType.DEADLINE_EXCEEDED,
+                         text=f"deadline exceeded for {model!r}: budget {where}")
+
+    def _admission_gate(self, ctx: UnaryContext) -> Optional[Message]:
         """Shed-or-admit decision; a Message means the request is refused.
 
         Refusals are visible in the trace: a spent budget closes with a
         ``sched.expire`` span, a shed request with a ``sched.admit`` span
         carrying the rejection reason.
         """
-        model = request.name
+        model = ctx.request.name
         gate_start = self._clock()
-        if deadline_s is not None and gate_start >= deadline_s:
-            # dead on arrival: the budget was spent in transit, so answer
-            # with the same typed rejection the backend scheduler would
-            self._gw_expired.labels(model=model).inc()
-            if traced:
-                self.tracer.add_span(
-                    "sched.expire", gate_start, self._clock(),
-                    span.trace_id, span.span_id, category="sched",
-                    model=model,
-                    late_ms=round((gate_start - deadline_s) * 1e3, 3))
-            return Message(
-                MessageType.DEADLINE_EXCEEDED,
-                text=(f"deadline exceeded for {model!r}: budget already "
-                      f"spent at the gateway"),
-                trace_id=request.trace_id, span_id=request.span_id)
+        if ctx.deadline_s is not None and gate_start >= ctx.deadline_s:
+            # dead on arrival: the budget was spent in transit
+            return self._expired(ctx, gate_start,
+                                 "already spent at the gateway")
         rejection: Optional[Rejection] = None
         if faultsite.active is not None and faultsite.active.on_admit(model):
             rejection = Rejection(
@@ -585,22 +544,22 @@ class GatewayServer(TcpServiceBase):
             # this request the per-backend share, rounded pessimistically
             per_backend = (-(-total_outstanding // healthy)
                            if healthy else total_outstanding)
-            rejection = self._admission.admit(model, deadline_s,
-                                              request.tenant, per_backend)
+            rejection = self._admission.admit(model, ctx.deadline_s,
+                                              ctx.request.tenant, per_backend)
         if rejection is None:
             return None
         self._shed.labels(model=model, reason=rejection.reason).inc()
-        if traced:
-            self.tracer.add_span(
-                "sched.admit", gate_start, self._clock(),
-                span.trace_id, span.span_id, category="sched", model=model,
-                decision="shed", reason=rejection.reason,
-                retry_after_ms=round(rejection.retry_after_ms, 3))
+        retry_after_ms = round(rejection.retry_after_ms, 3)
+        ctx.add_span("sched.admit", gate_start, self._clock(), "sched",
+                     model=model, decision="shed", reason=rejection.reason,
+                     retry_after_ms=retry_after_ms)
         log_event(logger, "admission.shed", level=logging.WARNING,
                   model=model, reason=rejection.reason,
-                  retry_after_ms=round(rejection.retry_after_ms, 3))
-        return _overloaded_message(request, rejection.message,
-                                   rejection.reason, rejection.retry_after_ms)
+                  retry_after_ms=retry_after_ms)
+        # backpressure frame: typed OVERLOADED, machine-readable body
+        return ctx.reply(MessageType.OVERLOADED, text=json.dumps({
+            "error": rejection.message, "reason": rejection.reason,
+            "retry_after_ms": rejection.retry_after_ms}))
 
     def _hedge_delay_s(self, model: str) -> float:
         qos = self.qos
@@ -613,28 +572,8 @@ class GatewayServer(TcpServiceBase):
         est = self.latency.estimate_s(model, 1)
         return max(2.0 * est, 1e-3)
 
-    def _record_outcome(self, request: Message, start: float,
-                        response: Optional[Message]) -> Message:
-        """Account a finished request; fold None (cancelled arm) to ERROR."""
-        if response is None:  # only reachable through a cancelled hedge arm
-            return Message(MessageType.ERROR,
-                           text=f"request for {request.name!r} was cancelled",
-                           trace_id=request.trace_id, span_id=request.span_id)
-        if response.type in (MessageType.INFER_RESPONSE,
-                             MessageType.APP_RESPONSE):
-            elapsed = self._clock() - start
-            exemplar = (f"{request.trace_id:016x}"
-                        if request.trace_id and self.tracer.enabled else None)
-            inputs = (len(request.tensor)
-                      if request.type == MessageType.INFER_REQUEST else 1)
-            self.stats.record(request.name, elapsed,
-                              inputs=inputs, exemplar=exemplar)
-            self.latency.observe(request.name, 1, elapsed)
-        return response
-
     # ------------------------------------------------------ response cache
-    def _cache_probe(self, request: Message, span, traced: bool,
-                     start: float):
+    def _cache_probe(self, ctx: UnaryContext):
         """Probe the response cache for one unary request.
 
         Returns ``(key, response)``: the content key to insert the
@@ -643,6 +582,7 @@ class GatewayServer(TcpServiceBase):
         site — fails open to an uncacheable miss (``(None, None)``) so the
         request is simply forwarded as if the cache did not exist.
         """
+        request = ctx.request
         model = request.name
         probe_start = self._clock()
         try:
@@ -657,96 +597,48 @@ class GatewayServer(TcpServiceBase):
                       model=model, error=str(exc))
             return None, None
         probe_end = self._clock()
-        if traced:
-            self.tracer.add_span(
-                "gateway.cache", probe_start, probe_end,
-                span.trace_id, span.span_id, category="gateway",
-                model=model, outcome="miss" if entry is None else "hit")
+        ctx.add_span("gateway.cache", probe_start, probe_end, "gateway",
+                     model=model, outcome="miss" if entry is None else "hit")
         self._stage_seconds.labels(model=model, stage="gateway.cache").inc(
             max(0.0, probe_end - probe_start))
         if entry is None:
             self._cache_misses.labels(model=model).inc()
             return key, None
         self._cache_hits.labels(model=model).inc()
-        if entry.response_kind == int(MessageType.APP_RESPONSE):
-            response = Message(MessageType.APP_RESPONSE, name=model,
-                               text=entry.text,
-                               payload_kind=entry.response_payload_kind,
-                               trace_id=request.trace_id,
-                               span_id=request.span_id)
-        else:
-            response = Message(MessageType.INFER_RESPONSE, name=model,
-                               tensor=entry.tensor,
-                               trace_id=request.trace_id,
-                               span_id=request.span_id)
-        # a hit counts toward throughput stats but never feeds the latency
-        # model: near-zero hit latencies would poison the admission and
-        # hedging estimates of backend service time
-        elapsed = self._clock() - start
-        exemplar = (f"{request.trace_id:016x}"
-                    if request.trace_id and self.tracer.enabled else None)
-        inputs = (len(request.tensor)
-                  if request.type == MessageType.INFER_REQUEST else 1)
-        self.stats.record(model, elapsed, inputs=inputs, exemplar=exemplar)
-        return key, response
+        return key, ctx.reply(
+            entry.response_kind, name=model, tensor=entry.tensor,
+            text=entry.text, payload_kind=entry.response_payload_kind)
 
     def _cache_insert(self, key, request: Message,
                       response: Message) -> None:
         """Retain one successful unary response under its content key."""
-        if self.cache is None or key is None:
-            return
-        if response.type == MessageType.INFER_RESPONSE:
-            evicted = self.cache.put(
-                key, request.name, request.payload_kind,
-                tensor=response.tensor, response_kind=int(response.type))
-        elif response.type == MessageType.APP_RESPONSE:
-            evicted = self.cache.put(
-                key, request.name, request.payload_kind,
-                text=response.text, response_kind=int(response.type),
-                response_payload_kind=response.payload_kind)
-        else:
+        if (self.cache is None or key is None
+                or response.type != _ANSWER[request.type]):
             return  # errors and typed rejections are never cacheable
+        evicted = self.cache.put(
+            key, request.name, request.payload_kind,
+            tensor=response.tensor, text=response.text,
+            response_kind=response.type,
+            response_payload_kind=response.payload_kind)
         if evicted:
             self._cache_evictions.inc(evicted)
         self._cache_bytes.set(float(self.cache.bytes))
 
     # ------------------------------------------------------- attempt loop
-    def _backend_roundtrip(self, client, request: Message,
-                           qos_kwargs: dict) -> Message:
-        """One typed roundtrip against a checked-out backend connection.
-
-        INFER requests go through the client's tensor lane; APP requests
-        are relayed as the same v5 frame — raw payload untouched, the
-        *remaining* budget from ``qos_kwargs`` stamped on — so the backend
-        runs the full preprocess → DNN → postprocess pipeline.  Typed
-        rejections raise exactly as :meth:`DjinnClient.infer` raises, which
-        is what the attempt loop's pass-through handlers expect.
-        """
-        if request.type == MessageType.APP_REQUEST:
-            reply = client.roundtrip(Message(
-                MessageType.APP_REQUEST, name=request.name,
-                tensor=request.tensor, text=request.text,
-                payload_kind=request.payload_kind,
-                trace_id=request.trace_id, span_id=request.span_id,
-                **qos_kwargs))
-            if reply.type != MessageType.APP_RESPONSE:
-                raise DjinnServiceError(
-                    f"unexpected response type {reply.type}")
-            return Message(MessageType.APP_RESPONSE, name=request.name,
-                           text=reply.text, payload_kind=reply.payload_kind,
-                           trace_id=request.trace_id,
-                           span_id=request.span_id)
-        outputs = client.infer(request.name, request.tensor, **qos_kwargs)
-        return Message(MessageType.INFER_RESPONSE, name=request.name,
-                       tensor=outputs, trace_id=request.trace_id,
-                       span_id=request.span_id)
-
-    def _forward_attempts(self, request: Message, span, traced: bool,
-                          start: float, deadline_s: Optional[float],
+    def _forward_attempts(self, ctx: UnaryContext,
                           avoid: frozenset = frozenset(),
                           cancel: Optional[threading.Event] = None,
                           inflight: Optional[_HedgeArm] = None) -> Optional[Message]:
         """Route, retry, and forward one request; the original retry loop.
+
+        Each attempt builds one outgoing frame for either kind — payload
+        untouched, the *remaining* budget stamped, the ``gateway.backend``
+        span as trace context — and relays whatever the backend answered
+        by its type: typing happens at the edge client, never mid-path.
+        Only a transport failure burns a retry; a typed refusal (ERROR,
+        DEADLINE_EXCEEDED, OVERLOADED) passes through as it arrived —
+        retrying a request the model rejected, or a spent budget, wastes
+        the fleet's time.
 
         ``avoid`` seeds the tried-set (a hedge arm avoids the primary's
         backend); ``cancel``/``inflight`` wire first-wins cancellation: a
@@ -754,39 +646,32 @@ class GatewayServer(TcpServiceBase):
         backends down on its self-inflicted transport error.
         """
         clock = self._clock
+        request = ctx.request
+        model = request.name
         tried: set = set(avoid)
         last_error = "no healthy backends"
         for attempt in range(self.retry.max_attempts):
             if cancel is not None and cancel.is_set():
                 return None
             if attempt:
-                self._retries.labels(model=request.name).inc()
+                self._retries.labels(model=model).inc()
                 with self._rng_lock:
                     delay = self.retry.delay_s(attempt - 1, self._rng)
                 log_event(logger, "retry", level=logging.WARNING,
-                          model=request.name, attempt=attempt,
+                          model=model, attempt=attempt,
                           delay_ms=round(delay * 1e3, 3), error=last_error)
                 time.sleep(delay)
-            if deadline_s is not None and clock() >= deadline_s:
+            if ctx.deadline_s is not None and clock() >= ctx.deadline_s:
                 # budget burnt in backoff/routing: stop before another hop
-                self._gw_expired.labels(model=request.name).inc()
-                if traced:
-                    now = clock()
-                    self.tracer.add_span(
-                        "sched.expire", start, now, span.trace_id,
-                        span.span_id, category="sched", model=request.name,
-                        late_ms=round((now - deadline_s) * 1e3, 3),
-                        attempts=attempt + 1)
-                return Message(
-                    MessageType.DEADLINE_EXCEEDED,
-                    text=(f"deadline exceeded for {request.name!r}: budget "
-                          f"spent after {attempt + 1} gateway attempt(s)"),
-                    trace_id=request.trace_id, span_id=request.span_id)
-            candidates = self.router.route(request.name)
+                return self._expired(
+                    ctx, ctx.start,
+                    f"spent after {attempt + 1} gateway attempt(s)",
+                    attempts=attempt + 1)
+            candidates = self.router.route(model)
             if not candidates:
                 # whole fleet marked down — probe for recoveries right away
                 self.health.probe_all()
-                candidates = self.router.route(request.name)
+                candidates = self.router.route(model)
                 if not candidates:
                     continue
             # prefer backends this request hasn't burned yet
@@ -803,34 +688,28 @@ class GatewayServer(TcpServiceBase):
                 inflight.set(client, backend.key)
             ok = False
             try:
-                kwargs = {}
-                if request.has_qos:
-                    remaining_ms = 0.0
-                    if deadline_s is not None:
-                        # forward the *remaining* budget (floored at 1 µs so
-                        # a spent budget still reads as deadlined on the
-                        # wire and gets the backend's typed rejection)
-                        remaining_ms = max((deadline_s - clock()) * 1e3, 1e-3)
-                    kwargs = dict(deadline_ms=remaining_ms,
-                                  priority=request.priority,
-                                  tenant=request.tenant)
+                remaining_ms = 0.0
+                if ctx.deadline_s is not None:
+                    # forward the *remaining* budget (floored at 1 µs so a
+                    # spent budget still reads as deadlined on the wire and
+                    # gets the backend's typed rejection)
+                    remaining_ms = max((ctx.deadline_s - clock()) * 1e3, 1e-3)
                 rpc_start = clock()
-                if traced:
-                    # routing + any backoff so far is the gateway's
-                    # "queue" share of the request's timeline
-                    tracer = self.tracer
-                    tracer.add_span("gateway.queue", start, rpc_start,
-                                    span.trace_id, span.span_id,
-                                    category="queue", attempts=attempt + 1)
-                    with tracer.span("gateway.backend", category="gateway",
-                                     trace_id=span.trace_id,
-                                     parent_id=span.span_id,
-                                     backend=backend.key):
-                        response = self._backend_roundtrip(client, request,
-                                                           kwargs)
-                else:
-                    response = self._backend_roundtrip(client, request,
-                                                       kwargs)
+                # routing + any backoff so far is the gateway's "queue"
+                # share of the request's timeline
+                ctx.add_span("gateway.queue", ctx.start, rpc_start, "queue",
+                             attempts=attempt + 1)
+                with (self.tracer.span("gateway.backend", category="gateway",
+                                       trace_id=ctx.trace[0],
+                                       parent_id=ctx.trace[1],
+                                       backend=backend.key)
+                      if ctx.traced else nullcontext(NOOP_SPAN)) as hop:
+                    reply = client.exchange(Message(
+                        request.type, name=model, tensor=request.tensor,
+                        text=request.text, payload_kind=request.payload_kind,
+                        deadline_ms=remaining_ms, priority=request.priority,
+                        tenant=request.tenant,
+                        trace_id=hop.trace_id, span_id=hop.span_id))
                 rpc_end = clock()
                 ok = True
             except DjinnConnectionError as exc:
@@ -841,56 +720,46 @@ class GatewayServer(TcpServiceBase):
                 backend.mark_down()
                 last_error = str(exc)
                 continue
-            except DjinnDeadlineError as exc:
-                ok = True  # typed rejection: pass through, never retry
-                return Message(MessageType.DEADLINE_EXCEEDED, text=str(exc),
-                               trace_id=request.trace_id,
-                               span_id=request.span_id)
-            except DjinnOverloadedError as exc:
-                ok = True  # backpressure: pass through with its retry hint
-                return _overloaded_message(request, str(exc), exc.reason,
-                                           exc.retry_after_ms)
-            except DjinnServiceError as exc:
-                ok = True  # the connection is fine; the model said no
-                return Message(MessageType.ERROR, text=str(exc),
-                               trace_id=request.trace_id,
-                               span_id=request.span_id)
             finally:
                 if inflight is not None:
                     inflight.clear()
                 backend.checkin(client, ok=ok)
-            # always-on stage accounting for the successful forward: the
-            # routing/backoff share and the backend roundtrip share
-            self._stage_seconds.labels(
-                model=request.name, stage="gateway.queue").inc(
-                    max(0.0, rpc_start - start))
-            self._stage_seconds.labels(
-                model=request.name, stage="gateway.rpc").inc(
-                    max(0.0, rpc_end - rpc_start))
-            return response
-        self._exhausted.labels(model=request.name).inc()
+            if reply.type == _ANSWER[request.type]:
+                # always-on stage accounting for the successful forward: the
+                # routing/backoff share and the backend roundtrip share
+                self._stage_seconds.labels(
+                    model=model, stage="gateway.queue").inc(
+                        max(0.0, rpc_start - ctx.start))
+                self._stage_seconds.labels(
+                    model=model, stage="gateway.rpc").inc(
+                        max(0.0, rpc_end - rpc_start))
+            elif reply.type not in _REFUSALS:
+                return ctx.reply(MessageType.ERROR,
+                                 text=f"unexpected response type {reply.type}")
+            # the connection is fine whatever the backend said: hand its
+            # frame back under the caller's trace context
+            reply.trace_id, reply.span_id = request.trace_id, request.span_id
+            return reply
+        self._exhausted.labels(model=model).inc()
         log_event(logger, "retry.exhausted", level=logging.ERROR,
-                  model=request.name, attempts=self.retry.max_attempts,
+                  model=model, attempts=self.retry.max_attempts,
                   error=last_error)
-        return Message(
+        return ctx.reply(
             MessageType.ERROR,
-            text=(f"request for {request.name!r} failed after "
-                  f"{self.retry.max_attempts} attempts: {last_error}"),
-            trace_id=request.trace_id, span_id=request.span_id,
-        )
+            text=(f"request for {model!r} failed after "
+                  f"{self.retry.max_attempts} attempts: {last_error}"))
 
     # ------------------------------------------------------------- hedging
-    def _forward_hedged(self, request: Message, span, traced: bool,
-                        start: float, deadline_s: Optional[float]) -> Message:
+    def _forward_hedged(self, ctx: UnaryContext) -> Message:
         """Tail-latency hedging: race a second backend, first response wins.
 
         The primary arm runs the normal attempt loop; if it has not
         finished within the hedge delay, a second arm fires against a
-        different backend.  The first arm to produce a response wins,
-        records the request, and interrupts the loser's in-flight roundtrip
-        (its connection is discarded on checkin, not returned to the pool).
+        different backend.  The first arm to produce a response wins and
+        interrupts the loser's in-flight roundtrip (its connection is
+        discarded on checkin, not returned to the pool).
         """
-        model = request.name
+        model = ctx.request.name
         done = threading.Event()
         hedged = threading.Event()  # did the second arm actually launch?
         results: List[Tuple[int, Message]] = []
@@ -907,60 +776,44 @@ class GatewayServer(TcpServiceBase):
             done.set()
             arms[1 - arm_idx].cancel()
 
-        def run_primary() -> None:
-            try:
-                if faultsite.active is not None:
-                    faultsite.active.on_hedge(model)  # injected slowness
-                finish(0, self._forward_attempts(
-                    request, span, traced, start, deadline_s,
-                    cancel=done, inflight=arms[0]))
-            except Exception as exc:  # never strand the caller
-                finish(0, Message(MessageType.ERROR, text=str(exc),
-                                  trace_id=request.trace_id,
-                                  span_id=request.span_id))
-
         hedge_launch = [0.0]  # stamped by the hedge arm when it actually fires
 
-        def run_hedge() -> None:
+        def run_arm(arm_idx: int) -> None:
+            avoid = frozenset()
             try:
-                if done.wait(self._hedge_delay_s(model)):
-                    return  # primary answered inside the hedge window
-                hedge_launch[0] = self._clock()
-                hedged.set()
-                self._hedges.labels(model=model).inc()
-                avoid = (frozenset((arms[0].backend_key,))
-                         if arms[0].backend_key else frozenset())
-                finish(1, self._forward_attempts(
-                    request, span, traced, start, deadline_s,
-                    avoid=avoid, cancel=done, inflight=arms[1]))
-            except Exception as exc:
-                finish(1, Message(MessageType.ERROR, text=str(exc),
-                                  trace_id=request.trace_id,
-                                  span_id=request.span_id))
+                if arm_idx == 0:
+                    if faultsite.active is not None:
+                        faultsite.active.on_hedge(model)  # injected slowness
+                else:
+                    if done.wait(self._hedge_delay_s(model)):
+                        return  # primary answered inside the hedge window
+                    hedge_launch[0] = self._clock()
+                    hedged.set()
+                    self._hedges.labels(model=model).inc()
+                    if arms[0].backend_key:
+                        avoid = frozenset((arms[0].backend_key,))
+                finish(arm_idx, self._forward_attempts(
+                    ctx, avoid=avoid, cancel=done, inflight=arms[arm_idx]))
+            except Exception as exc:  # never strand the caller
+                finish(arm_idx, ctx.reply(MessageType.ERROR, text=str(exc)))
 
-        threads = (
-            threading.Thread(target=run_primary, daemon=True,
-                             name="gateway-hedge-primary"),
-            threading.Thread(target=run_hedge, daemon=True,
-                             name="gateway-hedge-secondary"),
-        )
-        for t in threads:
-            t.start()
+        for arm_idx, role in enumerate(("primary", "secondary")):
+            threading.Thread(target=run_arm, args=(arm_idx,), daemon=True,
+                             name=f"gateway-hedge-{role}").start()
         done.wait()
         with results_lock:
             arm_idx, response = results[0]
         if hedged.is_set():  # a win only counts when there was a race
             winner = "primary" if arm_idx == 0 else "hedge"
             self._hedge_wins.labels(model=model, winner=winner).inc()
-            if traced:
-                self.tracer.add_span(
-                    "gateway.hedge", hedge_launch[0] or start, self._clock(),
-                    span.trace_id, span.span_id, category="gateway",
-                    model=model, winner=winner)
-        return self._record_outcome(request, start, response)
+            ctx.add_span("gateway.hedge", hedge_launch[0] or ctx.start,
+                         self._clock(), "gateway", model=model, winner=winner)
+        return response
 
     # --------------------------------------------------------------- stats
-    def _aggregate_stats(self) -> Dict[str, Dict[str, float]]:
+    def _stats_snapshot(self) -> Dict[str, Dict[str, float]]:
+        """Per-model stats merged across the fleet, plus the gateway's own
+        end-to-end view under ``gateway:<model>`` keys."""
         snapshots: List[Dict[str, Dict[str, float]]] = []
         for backend in self.pool.healthy():
             try:
@@ -981,7 +834,7 @@ class GatewayServer(TcpServiceBase):
             merged[f"gateway:{model}"] = stats
         return merged
 
-    def _aggregate_metrics(self) -> dict:
+    def _metrics_dump(self) -> dict:
         """Fleet-level metrics: every healthy backend's registry dump merged
         with the gateway's own (name prefixes keep the two populations
         apart: ``djinn_*`` is backend-side, ``gateway_*`` is this process)."""

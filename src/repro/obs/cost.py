@@ -96,15 +96,10 @@ SPAN_STAGE: Dict[str, Optional[str]] = {
 }
 
 
-def _stage_for(span: Span, depth: int) -> Optional[str]:
+def _stage_for(span: Span) -> Optional[str]:
     if span.name.startswith("layer."):
         return "net.forward"
-    stage = SPAN_STAGE.get(span.name)
-    if stage == "client.serialize" and depth > 0:
-        # A nested client.infer is the gateway's pooled hop to a backend,
-        # not the end user's client: its exclusive time is RPC overhead.
-        return "gateway.rpc"
-    return stage
+    return SPAN_STAGE.get(span.name)
 
 
 class CostLedger:
@@ -225,7 +220,7 @@ def build_ledger(spans: Sequence[Span]) -> Optional[CostLedger]:
                 key = (depths[s.span_id], s.start_s, s.span_id)
                 if key > owner_key:
                     owner, owner_key = s, key
-        stage = _stage_for(owner, depths[owner.span_id]) if owner else None
+        stage = _stage_for(owner) if owner else None
         if stage is None:
             residual += width
         else:

@@ -5,17 +5,24 @@ batch of one on an idle model — on the submitting thread.  These tests pin
 what has to hold across that product: the layer cache composes with the
 inline call, both callers account a request the same way, the inline call
 leaves nothing growing behind it, and a declined inline attempt never
-repeats work.
+repeats work.  The last section asks the same of the layer above:
+``DjinnServer``'s one unary routine, for both frame kinds, on every serve
+path (bare threaded, batched, bare proc pool).
 """
 
+import contextlib
+import json
+import re
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.core import BatchingExecutor, BatchPolicy, ModelRegistry
+from repro.core import (BatchingExecutor, BatchPolicy, DjinnClient,
+                        DjinnServer, ModelRegistry)
 from repro.core.procpool import ProcPoolExecutor
+from repro.core.protocol import Message, MessageType
 from repro.models import lenet5
 from repro.nn import LayerCacheConfig
 from repro.obs.metrics import MetricsRegistry
@@ -280,3 +287,153 @@ def test_contended_lock_does_not_preprocess_twice(registry, raws):
         registry.get(MODEL).forward(reference.preprocess(raws[0])), raws[0])
     assert app.preprocessed == 1
     assert list(executor.executed_batches[MODEL]) == [1]
+
+
+# ------------------------------------------- one axis up: the server's paths
+# The same parity question asked of ``DjinnServer._serve_unary``: both frame
+# kinds, on every way a server can run a forward.
+SERVE_PATHS = {
+    "bare": {},
+    "batched": {"batching": BatchPolicy(max_batch=8, timeout_ms=2.0)},
+    "proc:2": {"workers": "proc:2"},   # bare pool: a 32-row slot envelope
+}
+KINDS = ("tensor", "app")
+
+
+@pytest.fixture(scope="module")
+def served(registry):
+    """``{path: (live server, client connected to it)}``."""
+    with contextlib.ExitStack() as stack:
+        live = {}
+        for path, kwargs in SERVE_PATHS.items():
+            server = stack.enter_context(DjinnServer(registry, **kwargs))
+            live[path] = server, stack.enter_context(
+                DjinnClient(*server.address))
+        yield live
+
+
+def _frame(kind, payload, model=MODEL, **qos):
+    if kind == "app":
+        return DjinnClient.app_message(model, payload, **qos)
+    return Message(MessageType.INFER_REQUEST, name=model, tensor=payload, **qos)
+
+
+def _payload(kind, raws, rows, seed=0):
+    if kind == "app":
+        return np.resize(raws, (rows, 1, 28, 28))
+    return _tensor(seed, rows=rows)
+
+
+def _reference(registry, kind, payload):
+    """What the reply must carry, computed without any server."""
+    net = registry.get(MODEL)
+    if kind == "app":
+        return DIG_APP.postprocess(net.forward(DIG_APP.preprocess(payload)),
+                                   payload)
+    return net.forward(payload)
+
+
+def _answer(kind, reply):
+    assert reply.type == (MessageType.APP_RESPONSE if kind == "app"
+                          else MessageType.INFER_RESPONSE), reply.text
+    return json.loads(reply.text) if kind == "app" else reply.tensor
+
+
+def _counters(server):
+    """``{(family, labels...): value}`` of the rejection-side counters."""
+    return {(family,) + key: child.value
+            for family in ("djinn_errors_total", "djinn_sched_expired_total",
+                           "djinn_slo_requests_total")
+            for key, child in server.metrics.get(family).children()}
+
+
+def _delta(after, before):
+    return {key: value - before.get(key, 0.0)
+            for key, value in after.items() if value != before.get(key, 0.0)}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("path", list(SERVE_PATHS))
+def test_stage_seconds_sum_to_the_wall_on_every_serve_path(
+        served, registry, raws, path, kind):
+    """Every serve path accounts a ``net.forward`` sample, and what the
+    stages (up to the reply) add up to is the wall ``ServiceStats`` saw."""
+    server, client = served[path]
+    latency = server.stats._latency.labels(model=MODEL)
+
+    def measured():
+        stages = {key[1]: child.value
+                  for key, child in server._stage_seconds.children()
+                  if key[0] == MODEL}
+        # ``respond`` runs after the latency stamp, so it is not in the wall
+        return stages, sum(stages.values()) - stages.get("respond", 0.0)
+
+    # 8-row requests, as above: the forward dwarfs the hand-offs between
+    # stages.  The first one compiles plans / builds the app table.
+    payloads = [_payload(kind, np.roll(raws, i, axis=0), 8, seed=40 + i)
+                for i in range(7)]
+    client.exchange(_frame(kind, payloads[0]))
+    _, stage_before = measured()
+    wall_before = latency.sum
+    for payload in payloads[1:]:
+        reply = client.exchange(_frame(kind, payload))
+        got, want = _answer(kind, reply), _reference(registry, kind, payload)
+        assert got == want if kind == "app" else got.tobytes() == want.tobytes()
+    # the connection serves in order: a METRICS round trip means the last
+    # request's own accounting is done
+    client.metrics()
+    stages, stage_after = measured()
+    wall = latency.sum - wall_before
+    assert stages.get("net.forward", 0.0) > 0.0, sorted(stages)
+    assert abs((stage_after - stage_before) - wall) <= 0.05 * wall, stages
+
+
+def test_refusals_are_the_same_on_every_serve_path_and_kind(
+        served, registry, raws):
+    """Oversized, dead on arrival, unknown model, wrong shape: one reply
+    type, one error text and one set of counter deltas per case — whichever
+    path serves it, and (but for the text naming the kind's own check)
+    whichever kind asked."""
+    expected = {
+        "oversized": ("ANSWER", {}),
+        "doa": ("DEADLINE_EXCEEDED", {
+            ("djinn_sched_expired_total", MODEL): 1.0,
+            ("djinn_slo_requests_total", MODEL, "expired"): 1.0}),
+        "unknown": ("ERROR", {
+            ("djinn_errors_total", "nope", "unknown_model"): 1.0}),
+        "shape": ("ERROR", {
+            ("djinn_errors_total", MODEL, "bad_request"): 1.0}),
+    }
+    texts = {}
+    for path, (server, client) in served.items():
+        for kind in KINDS:
+            # 40 rows: past a bare pool's 32-row slot, past the batch policy
+            big = _payload(kind, raws, 40)
+            bad = (np.zeros((1, 20, 20), np.float32) if kind == "app"
+                   else np.zeros((1, 1, 30, 30), np.float32))
+            cases = {
+                "oversized": _frame(kind, big),
+                "doa": _frame(kind, big[:1], deadline_ms=0.0001),
+                "unknown": _frame(kind, big[:1], model="nope"),
+                "shape": _frame(kind, bad),
+            }
+            for case, frame in cases.items():
+                before = _counters(server)
+                reply = client.exchange(frame)
+                client.metrics()  # in-order connection: accounting is done
+                delta = _delta(_counters(server), before)
+                if case == "oversized":
+                    got = _answer(kind, reply)
+                    want = _reference(registry, kind, big)
+                    assert (got == want if kind == "app"
+                            else np.allclose(got, want, atol=1e-5))
+                    reply_type = "ANSWER"
+                else:
+                    reply_type = reply.type.name
+                    # lateness is a measured number; the rest is fixed
+                    texts.setdefault((kind, case), {})[path] = re.sub(
+                        r"\d+\.\d+ ms past", "N ms past", reply.text)
+                assert (reply_type, delta) == expected[case], (path, kind, case)
+    for (kind, case), by_path in texts.items():
+        assert len(set(by_path.values())) == 1, (kind, case, by_path)
+    assert texts["tensor", "doa"] == texts["app", "doa"]

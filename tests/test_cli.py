@@ -264,12 +264,13 @@ class TestGatewayCommand:
     def test_gateway_qos_flags(self):
         """`djinn gateway --sched adaptive --admission ...` arms QoS
         end-to-end: deadline-stamped queries serve, doomed ones come back
-        as typed deadline errors."""
+        as a typed refusal and are never served."""
         import socket
 
         import numpy as np
 
-        from repro.core import DjinnClient, DjinnDeadlineError
+        from repro.core import (DjinnClient, DjinnDeadlineError,
+                                DjinnOverloadedError)
 
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -296,10 +297,32 @@ class TestGatewayCommand:
             out = client.infer("pos", np.zeros((1, 300), np.float32),
                                deadline_ms=30000.0, priority=2, tenant="cli")
             assert out.shape == (1, 45)
-            with pytest.raises(DjinnDeadlineError):
+            # a 0.1 µs budget is usually spent by the time the admission
+            # gate reads the clock (DEADLINE_EXCEEDED); when it is not, the
+            # gate predicts it late and sheds it (OVERLOADED).  Either way
+            # the refusal is typed and the fleet never ran it.
+            with pytest.raises((DjinnDeadlineError,
+                                DjinnOverloadedError)) as refused:
                 client.infer("pos", np.zeros((1, 300), np.float32),
                              deadline_ms=0.0001)
+            if isinstance(refused.value, DjinnOverloadedError):
+                assert refused.value.reason == "predicted_late"
+            stats = client.stats()
+            assert stats["gateway:pos"]["requests"] == 1
+            assert stats["pos"]["requests"] == 1
         finally:
             client.shutdown_server()
             thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+class TestChaosCommand:
+    def test_every_scenario_runs_from_the_cli(self, capsys):
+        """`djinn chaos` serves each scenario the model its own harness
+        dict names — the app and cache scenarios are not `pos`."""
+        from repro.faults import SCENARIOS
+
+        for name in SCENARIOS:
+            # 4 is the load every ordinal-triggered rule set is written for
+            assert main(["chaos", "--scenario", name, "--requests", "4"]) == 0
+            assert f"{name:26s} OK" in capsys.readouterr().out

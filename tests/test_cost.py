@@ -117,17 +117,6 @@ class TestBuildLedger:
         ledger = build_ledger(spans)
         assert ledger.stages["batch.assemble"] == pytest.approx(4.0)
 
-    def test_nested_client_infer_is_gateway_rpc(self):
-        # the gateway's pooled hop to a backend opens its own client.infer;
-        # its exclusive time is RPC overhead, not end-user serialization
-        spans = [
-            make_span("client.infer", 0.0, 10.0, span_id=1),
-            make_span("client.infer", 2.0, 8.0, span_id=2, parent_id=1),
-        ]
-        ledger = build_ledger(spans)
-        assert ledger.stages["gateway.rpc"] == pytest.approx(6.0)
-        assert ledger.stages["client.serialize"] == pytest.approx(4.0)
-
     def test_prefers_client_infer_root(self):
         # an orphan fragment (parent never recorded) starts earlier, but the
         # client.infer envelope is still the wall-time anchor

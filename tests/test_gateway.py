@@ -24,6 +24,8 @@ from repro.gateway import (
     merge_stats,
     rendezvous_score,
 )
+from repro.core.protocol import Message, MessageType
+from repro.core.server import TcpServiceBase
 from repro.models import lenet5, senna
 
 
@@ -711,3 +713,152 @@ class TestGatewayQos:
             assert cli.infer("dig", x).shape == (1, 10)
         assert gateway.metrics.get("gateway_admission_rejected_total") \
             .labels(model="dig", reason="predicted_late").value == 0.0
+
+
+# ------------------------------------------- one relay for both frame kinds
+def _unary_frame(kind, payload, **fields):
+    if kind == "app":
+        return DjinnClient.app_message("dig", payload, **fields)
+    return Message(MessageType.INFER_REQUEST, name="dig", tensor=payload,
+                   **fields)
+
+
+_PAYLOADS = {"infer": np.zeros((1, 1, 32, 32), np.float32),
+             "app": np.zeros((1, 28, 28), np.uint8)}
+
+
+class TestOneTraceTree:
+    """An INFER and an APP request leave the same tree behind them: the
+    edge client's span is the only root and every backend span descends
+    from the gateway's own ``gateway.backend`` hop."""
+
+    @pytest.mark.parametrize("kind", ["infer", "app"])
+    def test_backend_spans_descend_from_the_gateway_hop(self, registry, kind):
+        from repro.cli import REQUIRED_SPANS
+        from repro.core import BatchPolicy
+        from repro.obs import coverage, get_tracer
+
+        tracer = get_tracer()  # the fleet's servers trace into the process one
+        tracer.clear()
+        tracer.enable()
+        try:
+            with ClusterLauncher(registry, backends=2,
+                                 batching=BatchPolicy(4, 1.0)) as cluster:
+                with GatewayServer(cluster.addresses) as gateway:
+                    with DjinnClient(*gateway.address) as cli:
+                        if kind == "app":
+                            assert cli.infer_app("dig", _PAYLOADS[kind]) is not None
+                        else:
+                            assert cli.infer("dig", _PAYLOADS[kind]).shape == (1, 10)
+            # the backend closes its container span after it has replied
+            deadline = time.monotonic() + 5.0
+            while (f"backend.{kind}" not in {s.name for s in tracer.spans()}
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            spans = tracer.spans()
+        finally:
+            tracer.disable()
+            tracer.clear()
+        assert len({s.trace_id for s in spans}) == 1
+        by_id = {s.span_id: s for s in spans}
+        names = [s.name for s in spans]
+        roots = [s.name for s in spans if s.parent_id not in by_id]
+        assert roots == [f"client.{kind}"]
+        # the gateway's pooled hop no longer opens a client span of its own
+        assert sum(n.startswith("client.") for n in names) == 1
+        (hop,) = [s for s in spans if s.name == "gateway.backend"]
+        backend = [s for s in spans if s.name.startswith("backend.")]
+        assert f"backend.{kind}" in {s.name for s in backend}
+        for span in backend:
+            lineage = []
+            while span.parent_id in by_id:
+                span = by_id[span.parent_id]
+                lineage.append(span.name)
+            assert "gateway.backend" in lineage, lineage
+            assert lineage[-3:] == ["gateway.backend", "gateway.infer",
+                                    f"client.{kind}"]
+        assert by_id[hop.parent_id].name == "gateway.infer"
+        required = {name.replace(".infer", f".{kind}")
+                    if name.startswith(("client.", "backend.")) else name
+                    for name in REQUIRED_SPANS}
+        assert required <= set(names)
+        assert coverage(spans) >= 0.95
+
+
+class _CannedBackend(TcpServiceBase):
+    """A backend that answers every unary frame with one canned refusal."""
+
+    def __init__(self, mtype, text):
+        super().__init__()
+        self.canned = mtype, text
+        self._data_plane = dict.fromkeys(
+            (MessageType.INFER_REQUEST, MessageType.APP_REQUEST), self._refuse)
+
+    def _refuse(self, conn, request):
+        return self._reply(request, self.canned[0], text=self.canned[1])
+
+    def _model_names(self):
+        return ["dig"]
+
+
+class TestTypedRefusalsRelayedVerbatim:
+    """Typing happens at the edge client, never mid-path: whatever refusal
+    a backend sends reaches the caller as the frame it was — not decoded,
+    raised and re-encoded by the gateway — and costs the backend nothing."""
+
+    CANNED = [
+        (MessageType.ERROR, "model 'dig' said no: ☃"),
+        (MessageType.DEADLINE_EXCEEDED,
+         "deadline exceeded for 'dig': request expired in queue "
+         "(1.250 ms past deadline)"),
+        # key order and spacing no json.dumps of ours would produce
+        (MessageType.OVERLOADED,
+         '{"retry_after_ms":12.5,  "reason":"tenant_throttle",'
+         '"error":"slow down"}'),
+    ]
+
+    @pytest.mark.parametrize("kind", ["infer", "app"])
+    @pytest.mark.parametrize("mtype,text", CANNED,
+                             ids=[t.name for t, _ in CANNED])
+    def test_same_frame_as_a_direct_connection(self, kind, mtype, text):
+        with _CannedBackend(mtype, text) as backend:
+            with GatewayServer([backend.address],
+                               health_interval_s=30.0) as gateway:
+                frame = _unary_frame(kind, _PAYLOADS[kind], trace_id=7,
+                                     span_id=9, deadline_ms=5000.0)
+                with DjinnClient(*backend.address) as direct:
+                    want = direct.exchange(frame)
+                with DjinnClient(*gateway.address) as edge:
+                    got = edge.exchange(frame)
+                    typed = pytest.raises(DjinnServiceError)
+                    with typed as relayed:
+                        if kind == "app":
+                            edge.infer_app("dig", _PAYLOADS[kind])
+                        else:
+                            edge.infer("dig", _PAYLOADS[kind])
+                assert (got.type, got.text) == (want.type, want.text) == (mtype, text)
+                assert (got.trace_id, got.span_id) == (7, 9)
+                if mtype == MessageType.OVERLOADED:
+                    assert relayed.value.reason == "tenant_throttle"
+                    assert relayed.value.retry_after_ms == 12.5
+                # a refusal is an answer: no retry burnt, nobody marked down
+                assert not gateway.metrics.get("gateway_retries_total").children()
+                assert not any(
+                    key[1] == "mark_down" for key, _ in gateway.metrics.get(
+                        "gateway_backend_transitions_total").children())
+                assert [b.key for b in gateway.pool.healthy()] == [
+                    "%s:%d" % backend.address]
+
+    @pytest.mark.parametrize("kind", ["infer", "app"])
+    def test_live_backend_rejection_reads_the_same_through_the_gateway(
+            self, registry, kind):
+        bad = (np.zeros((1, 20, 20), np.float32) if kind == "app"
+               else np.zeros((1, 1, 30, 30), np.float32))
+        with ClusterLauncher(registry, backends=1) as cluster:
+            with GatewayServer(cluster.addresses) as gateway:
+                with DjinnClient(*cluster.addresses[0]) as direct:
+                    want = direct.exchange(_unary_frame(kind, bad))
+                with DjinnClient(*gateway.address) as edge:
+                    got = edge.exchange(_unary_frame(kind, bad))
+                assert want.text and (got.type, got.text) == (want.type, want.text)
+                assert not gateway.metrics.get("gateway_retries_total").children()
