@@ -90,14 +90,17 @@ bench-smoke:
 # A/B the repository benchmark: commit REF against the working tree as
 # PAIRS alternating pairs of `run.py --workload WORKLOAD --seed k` (which
 # side goes first alternates too); prints both medians, both quartile
-# spans and wins/pairs per metric.  Single runs of identical code differ by
-# 10-40 % on a small shared host, so this is what resolves a change.
+# spans, wins/pairs and the sign-test p per metric.  Single runs of
+# identical code differ by 10-40 % on a small shared host, so this is what
+# resolves a change.  RECORD=benchmarks/results/BENCH_history.jsonl appends
+# the comparison to the committed trajectory.
 #   make bench-ab REF=732230c WORKLOAD=dig_dup_cache PAIRS=10
 PAIRS ?= 10
 bench-ab:
 	@test -n "$(REF)" -a -n "$(WORKLOAD)" || \
-		{ echo "usage: make bench-ab REF=<sha> WORKLOAD=<name> [PAIRS=10]"; exit 2; }
-	$(PY) benchmarks/ab_pairs.py --ref $(REF) --workload $(WORKLOAD) --pairs $(PAIRS)
+		{ echo "usage: make bench-ab REF=<sha> WORKLOAD=<name> [PAIRS=10] [RECORD=path.jsonl]"; exit 2; }
+	$(PY) benchmarks/ab_pairs.py --ref $(REF) --workload $(WORKLOAD) --pairs $(PAIRS) \
+		$(if $(RECORD),--record $(RECORD))
 
 # Reproduce the Fig 11-shaped throughput-vs-replicas curve on the real
 # gateway; writes benchmarks/results/gateway_scaling.txt.

@@ -15,15 +15,23 @@ copy of the benchmark against its own ``src/``.
 Printed per metric of the run's last-line JSON (the end-to-end metrics,
 or the per-layer ones with ``--trace 1``): both medians, both quartile
 spans, the ratio of the medians, how many pairs the change won (ties count
-for neither), and every pair's change/ref ratio.  A gain is resolved when
-the change wins at least nine pairs in ten and the medians differ by more
-than the reference's own quartile span.
+for neither), the exact two-sided sign-test p-value over the non-tied
+pairs (10/10 reads 0.002, 9/10 reads 0.021), and every pair's change/ref
+ratio.  A gain is resolved when the change wins at least nine pairs in ten
+and the medians differ by more than the reference's own quartile span.
+
+``--record PATH`` appends one JSON line per metric to PATH (the committed
+trajectory is ``benchmarks/results/BENCH_history.jsonl``): the resolved
+ref, the change (``git rev-parse HEAD``, or ``"worktree"`` when the code
+the benchmark runs has uncommitted edits), the workload, the metric, both
+medians and quartile spans, wins, non-tied n and p.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -70,23 +78,58 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(name: str, better: str, ref, change) -> str:
+def sign_test_p(wins: int, n: int) -> float:
+    """Exact two-sided sign-test p-value of ``wins`` in ``n`` non-tied pairs."""
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, k) for k in range(min(wins, n - wins) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
+def compare(better: str, ref, change) -> dict:
+    """One metric's paired runs reduced to what is printed and recorded."""
     r1, rmed, r3 = quartiles(ref)
     c1, cmed, c3 = quartiles(change)
     if better == "lower":
         wins = sum(c < r for r, c in zip(ref, change))
     else:
         wins = sum(c > r for r, c in zip(ref, change))
-    ties = sum(c == r for r, c in zip(ref, change))
+    n = len(ref) - sum(c == r for r, c in zip(ref, change))
+    return {"better": better, "ref_median": rmed, "ref_iqr": r3 - r1,
+            "change_median": cmed, "change_iqr": c3 - c1,
+            "wins": wins, "n": n, "p": sign_test_p(wins, n)}
+
+
+def summarize(name: str, stats: dict, ref, change) -> str:
+    r1, rmed, r3 = quartiles(ref)
+    c1, cmed, c3 = quartiles(change)
     ratio = f"{cmed / rmed:6.3f}" if rmed else "   n/a"
-    resolved = abs(cmed - rmed) > (r3 - r1)
+    resolved = abs(cmed - rmed) > stats["ref_iqr"]
     pairs = " ".join(f"{c / r:.2f}" if r else "n/a"
                      for r, c in zip(ref, change))
-    return (f"{name:28s} {better:6s} ref {rmed:10.4f} [{r1:10.4f},{r3:10.4f}]  "
+    return (f"{name:28s} {stats['better']:6s} ref {rmed:10.4f} [{r1:10.4f},{r3:10.4f}]  "
             f"change {cmed:10.4f} [{c1:10.4f},{c3:10.4f}]  x{ratio}  "
-            f"wins {wins}/{len(ref) - ties}  "
+            f"wins {stats['wins']}/{stats['n']} p={stats['p']:.3f}  "
             f"{'>' if resolved else '<='} ref IQR\n"
             f"{'':28s} change/ref per pair: {pairs}")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=REPO_ROOT, check=True, text=True,
+                          capture_output=True).stdout.strip()
+
+
+def change_id() -> str:
+    """HEAD, or ``"worktree"`` when what the benchmark runs is uncommitted."""
+    dirty = git("status", "--porcelain", "--", "src", str(RUN_PY.parent))
+    return "worktree" if dirty else git("rev-parse", "HEAD")
+
+
+def record(path, head: dict, stats: dict) -> None:
+    """Append one JSON line per metric: ``head`` plus that metric's stats."""
+    with open(path, "a", encoding="utf-8") as fh:
+        for name, metric in stats.items():
+            fh.write(json.dumps({**head, "metric": name, **metric}) + "\n")
 
 
 def main(argv=None) -> int:
@@ -100,6 +143,8 @@ def main(argv=None) -> int:
                         help="pair k runs seed first-seed + k on both sides")
     parser.add_argument("--trace", type=int, default=0, choices=(0, 1),
                         help="passed through: 1 compares the per-layer metrics")
+    parser.add_argument("--record", metavar="PATH",
+                        help="append one JSON line per metric to PATH")
     args = parser.parse_args(argv)
 
     with open(REPO_ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
@@ -130,16 +175,23 @@ def main(argv=None) -> int:
     print(f"\n== {args.workload}: {args.ref} (ref) vs working tree (change), "
           f"{args.pairs} alternating pairs, seeds {args.first_seed}.."
           f"{args.first_seed + args.pairs - 1}, trace {args.trace} ==")
+    stats = {}
     for name in runs["ref"][0]["metrics"]:
         values = {side: [run["metrics"][name]["value"] for run in runs[side]]
                   for side in runs}
-        print(summarize(name, better.get(name, "lower"),
-                        values["ref"], values["change"]))
+        stats[name] = compare(better.get(name, "lower"),
+                              values["ref"], values["change"])
+        print(summarize(name, stats[name], values["ref"], values["change"]))
     failed = {side: sum(run["failed"] for run in runs[side]) for side in runs}
     attempted = {side: sum(run["attempted"] for run in runs[side])
                  for side in runs}
     print("failed operations: " + "  ".join(
         f"{side} {failed[side]}/{attempted[side]}" for side in runs))
+    if args.record:
+        record(args.record,
+               {"ref": git("rev-parse", args.ref), "change": change_id(),
+                "workload": args.workload, "trace": args.trace,
+                "first_seed": args.first_seed, "pairs": args.pairs}, stats)
     return 1 if any(run["exit"] for side in runs for run in runs[side]) else 0
 
 

@@ -1,11 +1,54 @@
 """Unit tests for repro.nn.initializers."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.shm import weight_digest
+from repro.models.registry import APPLICATIONS, build_net
+from repro.nn import initializers
 from repro.nn.initializers import constant, gaussian, get_filler, uniform, xavier
+
+#: SHA-256 of every zoo model's seed-0 weights, recorded when the fillers
+#: still drew each blob whole in float64 and cast it: the chunked fillers
+#: must reproduce them byte for byte.
+ZOO_DIGESTS = {
+    "imc": "d6f9ca4b835ca8c1e22a803d191f4e1da57cf79ca2e1e83819724b09faa82212",
+    "dig": "6f93c3ca313a747909a201ffce6e1e08f811c5b8de39489866a0083540764688",
+    "face": "1f35593aa4b8493db65b19bb6cf68c9b22525e0d003afa76edb39182fdfa801d",
+    "asr": "4d620ffa01989f98c4cfbda76033fb8acea8b889d5f2fb886e7f9664551cb98c",
+    "pos": "52337463b8580c06508c0217ab70b9ff1557fc16b36f69974bc2297b5b1e1d50",
+    "chk": "d157c569d396e6e888024802316003ce82fb38afc28b2637d53e862b12a46c20",
+    "ner": "d8901c5a22e319a06f09692ec113112b6064b89c238c885e792d40480523cf8d",
+}
+
+FILLERS = {
+    "constant": constant(0.25),
+    "gaussian": gaussian(std=0.02, mean=0.1),
+    "uniform": uniform(-0.3, 0.2),
+    "xavier": xavier(),
+}
+
+
+def whole_draw(name, shape, rng):
+    """What each filler returned before chunking: one float64 draw, cast."""
+    if name == "constant":
+        return np.full(shape, 0.25, dtype=np.float32)
+    if name == "gaussian":
+        return rng.normal(0.1, 0.02, size=shape).astype(np.float32)
+    if name == "uniform":
+        return rng.uniform(-0.3, 0.2, size=shape).astype(np.float32)
+    scale = math.sqrt(3.0 / max(1, math.prod(shape[1:])))
+    return rng.uniform(-scale, scale, size=shape).astype(np.float32)
 
 
 class TestFillers:
@@ -63,3 +106,72 @@ class TestGetFiller:
     def test_bad_spec_type(self):
         with pytest.raises(TypeError):
             get_filler(42)
+
+
+class TestChunkedDraw:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(FILLERS)),
+           shape=st.lists(st.integers(0, 7), max_size=3).map(tuple),
+           chunk=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    @example(name="gaussian", shape=(0, 3), chunk=4, seed=1)   # empty
+    @example(name="gaussian", shape=(1,), chunk=4, seed=1)     # one element
+    @example(name="uniform", shape=(2, 2), chunk=4, seed=1)    # one chunk
+    @example(name="xavier", shape=(3, 5), chunk=4, seed=1)     # chunks + rest
+    def test_matches_whole_draw_and_leaves_same_stream(self, name, shape, chunk, seed):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        with mock.patch.object(initializers, "_CHUNK", chunk):
+            out = FILLERS[name](shape, ours)
+        expected = whole_draw(name, shape, ref)
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        assert out.shape == shape
+        np.testing.assert_array_equal(out, expected)
+        # the next blob drawn from the same generator is unchanged too
+        assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("app", APPLICATIONS)
+    def test_zoo_weights_pinned(self, app):
+        assert sorted(ZOO_DIGESTS) == sorted(APPLICATIONS)
+        net = build_net(app, materialize=True, seed=0)
+        assert weight_digest(net) == ZOO_DIGESTS[app]
+
+
+class TestSetupTransient:
+    def test_filler_peak_is_about_its_output(self, rng):
+        """AlexNet fc6: the filler's traced peak stays within 10 % of the
+        151 MB it returns (a whole float64 draw plus its cast reads 3x)."""
+        tracemalloc.start()
+        try:
+            out = gaussian(0.005)((4096, 9216), rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes
+
+    def test_registering_imc_grows_rss_by_its_weights(self):
+        """VmHWM growth across registering AlexNet is its parameter bytes
+        plus a 32 MiB allowance, measured in a fresh interpreter."""
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("VmHWM needs /proc")
+        script = textwrap.dedent("""
+            from repro.core.registry import ModelRegistry
+            from repro.models.registry import build_spec
+
+            def hwm():
+                with open("/proc/self/status") as fh:
+                    for line in fh:
+                        if line.startswith("VmHWM:"):
+                            return int(line.split()[1]) * 1024
+
+            spec = build_spec("imc")
+            before = hwm()
+            net = ModelRegistry().register_spec("imc", spec, seed=0)
+            print(hwm() - before, net.param_bytes())
+        """)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", script], env=env, text=True,
+                             capture_output=True, check=True).stdout
+        growth, param_bytes = map(int, out.split())
+        assert growth <= param_bytes + 32 * 2**20
