@@ -93,13 +93,16 @@ bench-smoke:
 # spans, wins/pairs and the sign-test p per metric.  Single runs of
 # identical code differ by 10-40 % on a small shared host, so this is what
 # resolves a change.  RECORD=benchmarks/results/BENCH_history.jsonl appends
-# the comparison to the committed trajectory.
+# the comparison to the committed trajectory.  WORKLOAD=all runs every
+# BENCHMARK.json workload in turn, one table (and record) each.
 #   make bench-ab REF=732230c WORKLOAD=dig_dup_cache PAIRS=10
+#   make bench-ab REF=732230c WORKLOAD=all RECORD=benchmarks/results/BENCH_history.jsonl
 PAIRS ?= 10
 bench-ab:
 	@test -n "$(REF)" -a -n "$(WORKLOAD)" || \
-		{ echo "usage: make bench-ab REF=<sha> WORKLOAD=<name> [PAIRS=10] [RECORD=path.jsonl]"; exit 2; }
-	$(PY) benchmarks/ab_pairs.py --ref $(REF) --workload $(WORKLOAD) --pairs $(PAIRS) \
+		{ echo "usage: make bench-ab REF=<sha> WORKLOAD=<name>|all [PAIRS=10] [RECORD=path.jsonl]"; exit 2; }
+	$(PY) benchmarks/ab_pairs.py --ref $(REF) \
+		$(if $(filter all,$(WORKLOAD)),--all,--workload $(WORKLOAD)) --pairs $(PAIRS) \
 		$(if $(RECORD),--record $(RECORD))
 
 # Reproduce the Fig 11-shaped throughput-vs-replicas curve on the real

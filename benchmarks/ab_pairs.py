@@ -2,6 +2,10 @@
 """A/B the repository benchmark: a reference commit against the working tree.
 
     python benchmarks/ab_pairs.py --ref 732230c --workload dig_dup_cache --pairs 10
+    python benchmarks/ab_pairs.py --ref 732230c --all --pairs 10
+
+``--all`` runs every workload ``BENCHMARK.json`` declares, one after the
+other, against one export of ``--ref``; each prints its own table.
 
 Identical code drifts 10-40 % between single runs on a small shared host
 (``benchmarks/djinn_bench/README.md``), so one run of each side resolves
@@ -20,11 +24,11 @@ pairs (10/10 reads 0.002, 9/10 reads 0.021), and every pair's change/ref
 ratio.  A gain is resolved when the change wins at least nine pairs in ten
 and the medians differ by more than the reference's own quartile span.
 
-``--record PATH`` appends one JSON line per metric to PATH (the committed
-trajectory is ``benchmarks/results/BENCH_history.jsonl``): the resolved
-ref, the change (``git rev-parse HEAD``, or ``"worktree"`` when the code
-the benchmark runs has uncommitted edits), the workload, the metric, both
-medians and quartile spans, wins, non-tied n and p.
+``--record PATH`` appends one JSON line per workload and metric to PATH
+(the committed trajectory is ``benchmarks/results/BENCH_history.jsonl``):
+the resolved ref, the change (``git rev-parse HEAD``, or ``"worktree"``
+when the code the benchmark runs has uncommitted edits), the workload, the
+metric, both medians and quartile spans, wins, non-tied n and p.
 """
 
 from __future__ import annotations
@@ -132,47 +136,51 @@ def record(path, head: dict, stats: dict) -> None:
             fh.write(json.dumps({**head, "metric": name, **metric}) + "\n")
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Command line plus ``workloads``: the one named, or with ``--all``
+    every workload ``BENCHMARK.json`` declares, in its order."""
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--ref", required=True,
                         help="commit to compare the working tree against")
-    parser.add_argument("--workload", required=True)
+    which = parser.add_mutually_exclusive_group(required=True)
+    which.add_argument("--workload")
+    which.add_argument("--all", action="store_true",
+                       help="every BENCHMARK.json workload in turn")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=0,
                         help="pair k runs seed first-seed + k on both sides")
     parser.add_argument("--trace", type=int, default=0, choices=(0, 1),
                         help="passed through: 1 compares the per-layer metrics")
     parser.add_argument("--record", metavar="PATH",
-                        help="append one JSON line per metric to PATH")
+                        help="append one JSON line per workload and metric to PATH")
     args = parser.parse_args(argv)
-
     with open(REPO_ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
-        decl = json.load(fh)
-    better = {m["name"]: m["better"]
-              for m in decl["end_to_end"] + decl["per_layer"]}
+        args.decl = json.load(fh)
+    declared = [w["name"] for w in args.decl["workloads"]]
+    args.workloads = declared if args.all else [args.workload]
+    return args
 
-    scratch = Path(tempfile.mkdtemp(prefix="bench-ab-"))
-    try:
-        ref_tree = scratch / "ref"
-        export_ref(args.ref, ref_tree)
-        sides = {"ref": ref_tree, "change": REPO_ROOT}
-        runs = {"ref": [], "change": []}
-        for k in range(args.pairs):
-            seed = args.first_seed + k
-            order = ("ref", "change") if k % 2 == 0 else ("change", "ref")
-            for side in order:
-                runs[side].append(
-                    run_once(sides[side], args.workload, seed, args.trace))
-            line = "  ".join(
-                f"{side} failed {runs[side][-1]['failed']}"
-                f"/{runs[side][-1]['attempted']}" for side in order)
-            print(f"pair {k:2d} seed {seed:3d} order {'>'.join(order):10s} {line}",
-                  flush=True)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
 
-    print(f"\n== {args.workload}: {args.ref} (ref) vs working tree (change), "
+def run_pairs(sides: dict, workload: str, args) -> dict:
+    """``args.pairs`` alternating pairs of one workload: the runs per side."""
+    runs = {"ref": [], "change": []}
+    for k in range(args.pairs):
+        seed = args.first_seed + k
+        order = ("ref", "change") if k % 2 == 0 else ("change", "ref")
+        for side in order:
+            runs[side].append(run_once(sides[side], workload, seed, args.trace))
+        line = "  ".join(
+            f"{side} failed {runs[side][-1]['failed']}"
+            f"/{runs[side][-1]['attempted']}" for side in order)
+        print(f"{workload} pair {k:2d} seed {seed:3d} order "
+              f"{'>'.join(order):10s} {line}", flush=True)
+    return runs
+
+
+def report(workload: str, runs: dict, better: dict, args) -> dict:
+    """Print one workload's table; return its per-metric stats."""
+    print(f"\n== {workload}: {args.ref} (ref) vs working tree (change), "
           f"{args.pairs} alternating pairs, seeds {args.first_seed}.."
           f"{args.first_seed + args.pairs - 1}, trace {args.trace} ==")
     stats = {}
@@ -186,13 +194,35 @@ def main(argv=None) -> int:
     attempted = {side: sum(run["attempted"] for run in runs[side])
                  for side in runs}
     print("failed operations: " + "  ".join(
-        f"{side} {failed[side]}/{attempted[side]}" for side in runs))
-    if args.record:
-        record(args.record,
-               {"ref": git("rev-parse", args.ref), "change": change_id(),
-                "workload": args.workload, "trace": args.trace,
-                "first_seed": args.first_seed, "pairs": args.pairs}, stats)
-    return 1 if any(run["exit"] for side in runs for run in runs[side]) else 0
+        f"{side} {failed[side]}/{attempted[side]}" for side in runs), flush=True)
+    return stats
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    better = {m["name"]: m["better"]
+              for m in args.decl["end_to_end"] + args.decl["per_layer"]}
+
+    scratch = Path(tempfile.mkdtemp(prefix="bench-ab-"))
+    status = 0
+    try:
+        ref_tree = scratch / "ref"
+        export_ref(args.ref, ref_tree)
+        sides = {"ref": ref_tree, "change": REPO_ROOT}
+        for workload in args.workloads:
+            runs = run_pairs(sides, workload, args)
+            stats = report(workload, runs, better, args)
+            if args.record:
+                record(args.record,
+                       {"ref": git("rev-parse", args.ref), "change": change_id(),
+                        "workload": workload, "trace": args.trace,
+                        "first_seed": args.first_seed, "pairs": args.pairs},
+                       stats)
+            if any(run["exit"] for side in runs for run in runs[side]):
+                status = 1
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    return status
 
 
 if __name__ == "__main__":

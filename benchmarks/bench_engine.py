@@ -8,7 +8,7 @@ For each app this times the two serve-path executions of the same network:
   input slab + ``execute`` over the arena, exactly what a
   :class:`repro.core.BatchingExecutor` worker runs per batch.
 
-Both run the same ``forward_into`` kernels, so outputs are byte-identical
+Both run the same bound layer kernels, so outputs are byte-identical
 (asserted here); the delta is pure buffer management.  Results go to
 ``benchmarks/results/BENCH_engine.json``.
 
@@ -23,7 +23,7 @@ Both run the same ``forward_into`` kernels, so outputs are byte-identical
 Usage::
 
     python benchmarks/bench_engine.py                     # full sweep
-    python benchmarks/bench_engine.py --apps dig --check  # CI gate
+    python benchmarks/bench_engine.py --apps dig,pos --batches 1,4,8,17 --check  # CI gate
 """
 
 from __future__ import annotations

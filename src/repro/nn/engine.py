@@ -30,13 +30,23 @@ no liveness tracking.
 Execution
 ---------
 ``execute(n)`` runs the compiled steps over the arena for any batch ``n`` up
-to ``max_batch`` — partial batches are prefix views, no re-stack, and the
-views are cached per ``n`` so the steady state creates no Python garbage
-either.  The per-layer ``timer`` hook (:class:`repro.obs.LayerTimer`) fires
-for every step, including aliases, so the planned path emits the exact span
-taxonomy of the legacy loop.
+to ``max_batch`` — partial batches are prefix views, no re-stack.  The first
+call at a given ``n`` binds every layer's kernel over that view
+(:meth:`repro.nn.layers.base.Layer.bind`: window views, weight reshapes,
+per-group GEMM operands resolved once), and the plan caches the resulting
+tuple of kernels, so the steady state is one loop of calls that creates no
+Python garbage.  ``execute``, ``execute_range``, ``run_from``, ``run_into``
+and the per-layer ``timer`` hook (:class:`repro.obs.LayerTimer`) all iterate
+that one tuple; the timer fires for every step, including aliases, so the
+planned path emits the exact span taxonomy of the legacy loop.
 
-Because both paths run the same ``forward_into`` kernels, planned output is
+Bound kernels hold the weight arrays they were bound over.  Any
+``Blob.data`` rebind bumps ``Blob.rebinds``; the plan compares it once per
+execute and re-binds every view when it moved, so new weights are served at
+once and the old arrays are released: no stale answers, and no heap copy
+pinned after a shared-memory export.
+
+Because both paths run the same bound kernels, planned output is
 byte-identical to the allocating ``forward`` — the equivalence suite in
 ``tests/test_engine.py`` pins that per model.
 
@@ -58,6 +68,7 @@ import numpy as np
 
 from .layers.base import Layer
 from .layers.merge import MultiInputLayer
+from .tensor import Blob
 
 __all__ = ["PlanError", "ExecutionPlan", "LayerCache", "LayerCacheConfig",
            "measure_steady_state_alloc"]
@@ -92,15 +103,33 @@ class _Step:
         self.multi = isinstance(layer, MultiInputLayer)
 
 
+def _skip() -> None:
+    """The kernel of an alias step: its output already is its input."""
+
+
+def _run(kernels, timer) -> None:
+    """Call ``(layer, kernel)`` pairs in order, bracketing each with the
+    timer's begin/end when one is given (alias steps included)."""
+    if timer is None:
+        for _, kernel in kernels:
+            kernel()
+    else:
+        for layer, kernel in kernels:
+            timer.begin(layer)
+            kernel()
+            timer.end(layer)
+
+
 class _Views:
-    """Per-batch-size bound views over the arena (cached per ``n``)."""
+    """Per-batch-size arena views and the kernels bound over them (cached
+    per ``n``; dropped whenever any weight blob is rebound)."""
 
-    __slots__ = ("input", "output", "steps", "tops")
+    __slots__ = ("input", "output", "kernels", "tops")
 
-    def __init__(self, input_view, output_view, steps, tops):
+    def __init__(self, input_view, output_view, kernels, tops):
         self.input = input_view
         self.output = output_view
-        self.steps = steps
+        self.kernels = kernels
         self.tops = tops
 
 
@@ -131,6 +160,8 @@ class ExecutionPlan:
         self._arena: Optional[np.ndarray] = None
         self._scratch: Optional[np.ndarray] = None
         self._view_cache: Dict[int, _Views] = {}
+        #: ``Blob.rebinds`` when the cached kernels were bound
+        self._bound_rebinds = Blob.rebinds
         if allocate:
             # zeros (not empty) so a fresh plan is deterministic: stale-data
             # bleed between batches would show up as an exact-equality diff
@@ -267,6 +298,13 @@ class ExecutionPlan:
 
     # ------------------------------------------------------------- binding
     def _views_for(self, n: int) -> _Views:
+        rebinds = Blob.rebinds
+        if rebinds != self._bound_rebinds:
+            # a weight array was swapped (shm export, shared or loaded
+            # weights): kernels bound over the old arrays would answer with
+            # them and keep them alive, so every view re-binds
+            self._view_cache.clear()
+            self._bound_rebinds = rebinds
         views = self._view_cache.get(n)
         if views is not None:
             return views
@@ -281,7 +319,7 @@ class ExecutionPlan:
             nbytes = n * self._sample_bytes(name)
             top_view[name] = (
                 self._arena[off:off + nbytes].view(_F32).reshape((n,) + shape))
-        bound = []
+        kernels = []
         for step in self._steps:
             scratch: Dict[str, np.ndarray] = {}
             off = 0
@@ -291,9 +329,15 @@ class ExecutionPlan:
                 scratch[key] = (
                     self._scratch[off:off + nbytes].view(dtype).reshape(shape))
                 off += _align(nbytes)
+            layer = step.layer
+            if step.alias:
+                kernels.append((layer, _skip))
+                continue
             xs = [top_view[b] for b in step.bottoms]
-            bound.append((step, xs, top_view[step.top], scratch))
-        views = _Views(top_view[INPUT], top_view[self._output], bound, top_view)
+            kernels.append((layer, layer.bind(xs if step.multi else xs[0],
+                                              top_view[step.top], scratch)))
+        views = _Views(top_view[INPUT], top_view[self._output],
+                       tuple(kernels), top_view)
         self._view_cache[n] = views
         return views
 
@@ -317,15 +361,7 @@ class ExecutionPlan:
         if not self.net.materialized:
             raise PlanError(f"net {self.net.name!r} is not materialized")
         views = self._views_for(n)
-        for step, xs, out, scratch in views.steps:
-            layer = step.layer
-            if timer is not None:
-                timer.begin(layer)
-            if not step.alias:
-                layer.forward_into(xs if step.multi else xs[0], out, scratch,
-                                   train=False)
-            if timer is not None:
-                timer.end(layer)
+        _run(views.kernels, timer)
         return views.output
 
     def execute_range(self, n: int, start: int, stop: Optional[int] = None,
@@ -347,15 +383,7 @@ class ExecutionPlan:
                 f"step range [{start}, {stop}) outside plan "
                 f"[0, {len(self._steps)})")
         views = self._views_for(n)
-        for step, xs, out, scratch in views.steps[start:stop]:
-            layer = step.layer
-            if timer is not None:
-                timer.begin(layer)
-            if not step.alias:
-                layer.forward_into(xs if step.multi else xs[0], out, scratch,
-                                   train=False)
-            if timer is not None:
-                timer.end(layer)
+        _run(views.kernels[start:stop], timer)
         return views.output
 
     # -------------------------------------------------------- split points
@@ -411,7 +439,7 @@ class ExecutionPlan:
         ``restored`` maps top names to ``(n, *shape)`` activations — a
         :meth:`snapshot` taken at the same split — or is a bare array when
         a single top is live there (every :meth:`safe_splits` point).  The
-        suffix runs the same ``forward_into`` kernels over the same arena
+        suffix runs the same bound kernels over the same arena
         views as a full pass at batch ``n``, so the result is byte-identical
         to the full execution that produced the snapshot — pinned per model
         and per split in ``tests/test_cache.py``.  Returns an owned copy.

@@ -7,7 +7,7 @@ model treats as the kernel's GEMM dimensions.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -30,8 +30,9 @@ class Im2colPlan:
     The original :func:`im2col` recomputed output extents, padded shapes and
     window strides on every call; convolution, locally-connected and pooling
     layers now hoist that into setup by building one of these, and both the
-    allocating and the planned execution paths reuse it.  All methods are
-    allocation-free given destination buffers.
+    allocating and the planned execution paths reuse it.  The ``bind_*``
+    methods build their views once; the kernels they return are
+    allocation-free.
     """
 
     __slots__ = ("in_c", "in_h", "in_w", "kh", "kw", "stride", "pad",
@@ -62,24 +63,34 @@ class Im2colPlan:
         return {"cols": ((batch, self.fan_in, self.length), np.dtype(np.float32))}
 
     # ------------------------------------------------------------- kernels
-    def padded(self, x: np.ndarray, scratch: Dict[str, np.ndarray],
-               fill: float = 0.0) -> np.ndarray:
-        """Return the (possibly padded) source array windows slide over.
+    def source(self, x: np.ndarray, scratch: Dict[str, np.ndarray]) -> np.ndarray:
+        """The array windows slide over: ``x`` itself, or its padded copy
+        in ``scratch["xpad"]`` (contents as of the last refill)."""
+        return scratch["xpad"][: x.shape[0]] if self.pad else x
 
-        With padding, the border of ``scratch["xpad"]`` is refilled and the
-        center overwritten each call — scratch regions are shared between
-        steps, so nothing can be assumed about their previous contents.
+    def bind_padded(self, x: np.ndarray, scratch: Dict[str, np.ndarray],
+                    fill: float = 0.0) -> Tuple[np.ndarray, Optional[Callable[[], None]]]:
+        """``(source, refill)``: the source array and the kernel that
+        refreshes it from ``x`` (``None`` when there is no padding).
+
+        The refill rewrites the border of ``scratch["xpad"]`` and the center
+        every call — scratch regions are shared between steps, so nothing
+        can be assumed about their previous contents.
         """
+        src = self.source(x, scratch)
         if not self.pad:
-            return x
-        xpad = scratch["xpad"][: x.shape[0]]
+            return src, None
         p = self.pad
-        xpad[:, :, :p, :].fill(fill)
-        xpad[:, :, -p:, :].fill(fill)
-        xpad[:, :, p:-p, :p].fill(fill)
-        xpad[:, :, p:-p, -p:].fill(fill)
-        np.copyto(xpad[:, :, p:-p, p:-p], x)
-        return xpad
+        borders = (src[:, :, :p, :], src[:, :, -p:, :],
+                   src[:, :, p:-p, :p], src[:, :, p:-p, -p:])
+        center = src[:, :, p:-p, p:-p]
+
+        def refill() -> None:
+            for border in borders:
+                border.fill(fill)
+            np.copyto(center, x)
+
+        return src, refill
 
     def filter_windows(self, src: np.ndarray) -> np.ndarray:
         """(N, C, kh, kw, out_h, out_w) view — the im2col gather order."""
@@ -101,14 +112,22 @@ class Im2colPlan:
             writeable=False,
         )
 
-    def gather(self, x: np.ndarray, scratch: Dict[str, np.ndarray]) -> np.ndarray:
-        """Unfold ``x`` into ``scratch["cols"]`` (N, C*kh*kw, L); returns it."""
+    def bind_gather(self, x: np.ndarray, scratch: Dict[str, np.ndarray]
+                    ) -> Tuple[np.ndarray, Callable[[], None]]:
+        """``(cols, unfold)``: ``scratch["cols"]`` (N, C*kh*kw, L) and the
+        kernel that unfolds ``x`` into it, window view built once."""
         n = x.shape[0]
         cols = scratch["cols"][:n]
-        src = self.padded(x, scratch)
+        src, refill = self.bind_padded(x, scratch)
         cols6 = cols.reshape(n, self.in_c, self.kh, self.kw, self.out_h, self.out_w)
-        np.copyto(cols6, self.filter_windows(src))
-        return cols
+        windows = self.filter_windows(src)
+
+        def unfold() -> None:
+            if refill is not None:
+                refill()
+            np.copyto(cols6, windows)
+
+        return cols, unfold
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:

@@ -36,10 +36,16 @@ class ReLULayer(_Activation):
     type_name = "ReLU"
     plan_inplace = True
 
+    def bind(self, x, out, scratch):
+        def kernel():
+            np.maximum(x, 0.0, out=out)
+
+        return kernel
+
     def forward_into(self, x, out, scratch, train=False):
         if train:
             self._cache = x > 0
-        np.maximum(x, 0.0, out=out)
+        self.bind(x, out, scratch)()
 
     def backward(self, dout):
         mask = self._require_cache()
@@ -59,25 +65,32 @@ class SigmoidLayer(_Activation):
             "neg": (shape, np.dtype(np.bool_)),
         }
 
-    def forward_into(self, x, out, scratch, train=False):
+    def bind(self, x, out, scratch):
         # numerically stable logistic, branch-selected with where= masks so
         # the kernel stays allocation-free and safe for out-is-x execution
         n = x.shape[0]
         t = scratch["t"][:n]
         pos = scratch["pos"][:n]
         neg = scratch["neg"][:n]
-        np.greater_equal(x, 0.0, out=pos)
-        np.logical_not(pos, out=neg)
-        # x >= 0: 1 / (1 + exp(-x))
-        np.negative(x, out=t, where=pos)
-        np.exp(t, out=t, where=pos)
-        np.add(t, 1.0, out=t, where=pos)
-        np.reciprocal(t, out=t, where=pos)
-        # x < 0: e / (1 + e) with e = exp(x)
-        np.exp(x, out=out, where=neg)
-        np.add(out, 1.0, out=t, where=neg)
-        np.divide(out, t, out=t, where=neg)
-        np.copyto(out, t)
+
+        def kernel():
+            np.greater_equal(x, 0.0, out=pos)
+            np.logical_not(pos, out=neg)
+            # x >= 0: 1 / (1 + exp(-x))
+            np.negative(x, out=t, where=pos)
+            np.exp(t, out=t, where=pos)
+            np.add(t, 1.0, out=t, where=pos)
+            np.reciprocal(t, out=t, where=pos)
+            # x < 0: e / (1 + e) with e = exp(x)
+            np.exp(x, out=out, where=neg)
+            np.add(out, 1.0, out=t, where=neg)
+            np.divide(out, t, out=t, where=neg)
+            np.copyto(out, t)
+
+        return kernel
+
+    def forward_into(self, x, out, scratch, train=False):
+        self.bind(x, out, scratch)()
         if train:
             self._cache = out
 
@@ -91,8 +104,14 @@ class TanhLayer(_Activation):
     type_name = "Tanh"
     plan_inplace = True
 
+    def bind(self, x, out, scratch):
+        def kernel():
+            np.tanh(x, out=out)
+
+        return kernel
+
     def forward_into(self, x, out, scratch, train=False):
-        np.tanh(x, out=out)
+        self.bind(x, out, scratch)()
         if train:
             self._cache = out
 
@@ -108,10 +127,16 @@ class HardTanhLayer(_Activation):
     type_name = "HardTanh"
     plan_inplace = True
 
+    def bind(self, x, out, scratch):
+        def kernel():
+            np.clip(x, -1.0, 1.0, out=out)
+
+        return kernel
+
     def forward_into(self, x, out, scratch, train=False):
         if train:
             self._cache = (x > -1.0) & (x < 1.0)
-        np.clip(x, -1.0, 1.0, out=out)
+        self.bind(x, out, scratch)()
 
     def backward(self, dout):
         mask = self._require_cache()

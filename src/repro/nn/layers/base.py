@@ -9,18 +9,23 @@ the sweep the paper's Figure 7 performs.
 
 Execution surface
 -----------------
-Every layer exposes two forward paths over the *same* kernel:
+Every layer exposes its forward paths over the *same* kernel:
+
+``bind(x, out, scratch) -> kernel``
+    Resolve views, weight reshapes and operands over fixed buffers once and
+    return a no-argument inference kernel.  This is what
+    :class:`repro.nn.engine.ExecutionPlan` binds per cached batch view over
+    its arena, and the kernel must not allocate in steady state.
 
 ``forward_into(x, out, scratch, train=False)``
     The destination-passing kernel: write the result into ``out`` using the
     preallocated ``scratch`` buffers declared by :meth:`Layer.plan_scratch`.
-    This is what :class:`repro.nn.engine.ExecutionPlan` drives with
-    arena-backed buffers, and it must not allocate in steady state.
+    For bound layers this is ``bind(...)()`` plus the train-time cache.
 
 ``forward(x, train=False)``
     A thin allocating wrapper: allocate ``out`` and scratch, then call
-    ``forward_into``.  Because both paths run the identical kernel, a planned
-    forward is byte-identical to the legacy allocating forward.
+    ``forward_into``.  Because every path runs the identical kernel, a
+    planned forward is byte-identical to the legacy allocating forward.
 
 The wrapper preserves the input's float dtype (float64 in, float64 out) so
 numerical gradient checking keeps full precision; plans always run float32.
@@ -28,7 +33,8 @@ numerical gradient checking keeps full precision; plans always run float32.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+import functools
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -120,6 +126,20 @@ class Layer:
                 dt = np.dtype(dtype)
             scratch[key] = np.empty(shape, dtype=dt)
         return scratch
+
+    def bind(self, x: np.ndarray, out: np.ndarray,
+             scratch: Dict[str, np.ndarray]) -> Callable[[], None]:
+        """Resolve every view and operand for fixed buffers once; return the
+        inference kernel, which recomputes ``out`` from ``x``'s current
+        contents on each call.
+
+        Layers with a hot kernel override this and define ``forward_into``
+        as ``self.bind(x, out, scratch)()`` plus their train-time cache; the
+        default binds ``forward_into`` itself.  A bound kernel holds the
+        weight arrays it was bound over, so it must be re-bound after a
+        ``Blob.data`` rebind (execution plans do, see ``Blob.rebinds``).
+        """
+        return functools.partial(self.forward_into, x, out, scratch)
 
     def forward_into(self, x: np.ndarray, out: np.ndarray,
                      scratch: Dict[str, np.ndarray], train: bool = False) -> None:

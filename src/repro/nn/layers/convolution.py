@@ -81,35 +81,52 @@ class ConvolutionLayer(Layer):
         spec.update(self._lowering.pad_spec(batch))
         return spec
 
-    def forward_into(self, x, out, scratch, train=False):
+    def bind(self, x, out, scratch):
         n = x.shape[0]
         g = self.group
         k = self.kernel_size
-        cin_g = self.in_channels // g
+        fan_in_g = self.in_channels // g * k * k
         cout_g = self.num_output // g
         length = self._lowering.length
-        cols = self._lowering.gather(x, scratch)  # (N, C*k*k, L)
-        cols_g = cols.reshape(n, g, cin_g * k * k, length)
-        w = self.weight.require_data().reshape(g, cout_g, cin_g * k * k)
-        out_g = out.reshape(n, g, cout_g, length)
-        for gi in range(g):
-            # (cout_g, K) @ (N, K, L) -> (N, cout_g, L), written in place
-            np.matmul(w[gi], cols_g[:, gi], out=out_g[:, gi])
-        if self.bias:
-            np.add(out, self.bias_blob.require_data()[None, :, None, None], out=out)
+        cols, unfold = self._lowering.bind_gather(x, scratch)  # (N, C*k*k, L)
+        w = self.weight.require_data().reshape(g, cout_g, fan_in_g)
+        if n == 1:
+            # 2-D operands: one plain GEMM per group, no stacked-loop set-up
+            cols_g = cols.reshape(g, fan_in_g, length)
+            out_g = out.reshape(g, cout_g, length)
+        else:
+            # (cout_g, K) @ (N, K, L) -> (N, cout_g, L) per group
+            cols_g = cols.reshape(n, g, fan_in_g, length).swapaxes(0, 1)
+            out_g = out.reshape(n, g, cout_g, length).swapaxes(0, 1)
+        gemms = tuple(zip(w, cols_g, out_g))
+        bias = (self.bias_blob.require_data().reshape(1, -1, 1, 1)
+                if self.bias else None)
+
+        def kernel():
+            unfold()
+            for w_g, cols_gi, out_gi in gemms:
+                np.matmul(w_g, cols_gi, out=out_gi)
+            if bias is not None:
+                np.add(out, bias, out=out)
+
+        return kernel
+
+    def forward_into(self, x, out, scratch, train=False):
+        self.bind(x, out, scratch)()
         if train:
-            self._cache = (cols_g, x.shape)
+            self._cache = (scratch["cols"][: x.shape[0]], x.shape)
 
     def backward(self, dout):
         if self._cache is None:
             raise RuntimeError(f"layer {self.name!r}: backward before forward(train=True)")
-        cols_g, x_shape = self._cache
+        cols, x_shape = self._cache
         n = dout.shape[0]
         g = self.group
         k = self.kernel_size
         cin_g = self.in_channels // g
         cout_g = self.num_output // g
         length = self.out_h * self.out_w
+        cols_g = cols.reshape(n, g, cin_g * k * k, length)
         dout_g = dout.reshape(n, g, cout_g, length)
         dw = np.einsum("ngol,ngkl->gok", dout_g, cols_g, optimize=True)
         self.weight.grad += dw.reshape(self.weight.shape)

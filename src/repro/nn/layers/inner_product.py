@@ -53,14 +53,44 @@ class InnerProductLayer(Layer):
             self.bias_blob = self._add_param("bias", (self.num_output,), self._bias_filler)
 
     # -------------------------------------------------------------- compute
-    def forward_into(self, x, out, scratch, train=False):
+    def plan_scratch(self, batch):
+        if batch < 2:
+            return {}
+        return {"wx": ((self.num_output, batch), np.dtype(np.float32))}
+
+    def bind(self, x, out, scratch):
+        n = x.shape[0]
         w = self.weight.require_data()
-        x2 = x.reshape(x.shape[0], self.fan_in)
-        np.matmul(x2, w.T, out=out)
-        if self.bias:
-            np.add(out, self.bias_blob.require_data(), out=out)
+        x2 = x.reshape(n, self.fan_in)
+        b = self.bias_blob.require_data() if self.bias else None
+        if n == 1:
+            wt = w.T
+
+            def kernel():
+                np.matmul(x2, wt, out=out)
+                if b is not None:
+                    np.add(out, b, out=out)
+
+            return kernel
+        # batched: W·Xᵀ into a (num_output, n) panel, then one transposed
+        # copy into out.  X·Wᵀ sits on OpenBLAS's slow path at 2 <= n <= 64
+        # (table in docs/execution_engine.md).  The bias is added after the
+        # copy: a ufunc over the transposed view would buffer (~64 KB/call)
+        wx = scratch["wx"][:, :n]
+        xt, wxt = x2.T, wx.T
+
+        def kernel():
+            np.matmul(w, xt, out=wx)
+            np.copyto(out, wxt)
+            if b is not None:
+                np.add(out, b, out=out)
+
+        return kernel
+
+    def forward_into(self, x, out, scratch, train=False):
+        self.bind(x, out, scratch)()
         if train:
-            self._x_flat = x2
+            self._x_flat = x.reshape(x.shape[0], self.fan_in)
             self._x_shape = x.shape
 
     def backward(self, dout):

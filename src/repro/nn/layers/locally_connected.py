@@ -88,7 +88,8 @@ class LocallyConnectedLayer(Layer):
 
     def forward_into(self, x, out, scratch, train=False):
         n = x.shape[0]
-        cols = self._lowering.gather(x, scratch)  # (N, C*k*k, L)
+        cols, unfold = self._lowering.bind_gather(x, scratch)  # (N, C*k*k, L)
+        unfold()
         w = self.weight.require_data()  # (L, O, K)
         out3 = out.reshape(n, self.num_output, self.positions)
         # per-position contraction; optimized einsum allocates planner

@@ -51,25 +51,34 @@ class PoolingLayer(Layer):
     def plan_scratch(self, batch):
         return dict(self._lowering.pad_spec(batch))
 
-    def forward_into(self, x, out, scratch, train=False):
-        src = self._lowering.padded(x, scratch, fill=self._pad_fill)
+    def bind(self, x, out, scratch):
+        src, refill = self._lowering.bind_padded(x, scratch, fill=self._pad_fill)
         k, s = self.kernel_size, self.stride
         oh, ow = self.out_h, self.out_w
         # accumulate k*k shifted strided slices elementwise instead of a
         # 6-D windowed reduction: each slice walks the image in memory
         # order, which is several times faster on the large early layers
+        first, *rest = [src[:, :, i : i + s * oh : s, j : j + s * ow : s]
+                        for i in range(k) for j in range(k)]
         op = np.maximum if self.mode == "max" else np.add
-        for i in range(k):
-            for j in range(k):
-                window = src[:, :, i : i + s * oh : s, j : j + s * ow : s]
-                if i == 0 and j == 0:
-                    np.copyto(out, window)
-                else:
-                    op(out, window, out=out)
-        if self.mode == "ave":
-            np.divide(out, k * k, out=out)
+        area = k * k if self.mode == "ave" else None
+
+        def kernel():
+            if refill is not None:
+                refill()
+            np.copyto(out, first)
+            for window in rest:
+                op(out, window, out=out)
+            if area is not None:
+                np.divide(out, area, out=out)
+
+        return kernel
+
+    def forward_into(self, x, out, scratch, train=False):
+        self.bind(x, out, scratch)()
         if train:
             if self.mode == "max":
+                src = self._lowering.source(x, scratch)
                 win = self._lowering.pool_windows(src)  # (N, C, oh, ow, k, k)
                 flat = win.reshape(*win.shape[:4], -1)
                 idx = flat.argmax(axis=-1)

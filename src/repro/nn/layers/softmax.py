@@ -61,13 +61,20 @@ class SoftmaxLayer(Layer):
         shape = (batch,) + self.in_shape[:-1] + (1,)
         return {"mx": (shape, np.dtype(np.float32))}
 
-    def forward_into(self, x, out, scratch, train=False):
+    def bind(self, x, out, scratch):
         mx = scratch["mx"][: x.shape[0]]
-        np.max(x, axis=-1, keepdims=True, out=mx)
-        np.subtract(x, mx, out=out)
-        np.exp(out, out=out)
-        np.sum(out, axis=-1, keepdims=True, out=mx)
-        np.divide(out, mx, out=out)
+
+        def kernel():
+            np.max(x, axis=-1, keepdims=True, out=mx)
+            np.subtract(x, mx, out=out)
+            np.exp(out, out=out)
+            np.sum(out, axis=-1, keepdims=True, out=mx)
+            np.divide(out, mx, out=out)
+
+        return kernel
+
+    def forward_into(self, x, out, scratch, train=False):
+        self.bind(x, out, scratch)()
         if train:
             self._cache = out
 

@@ -9,6 +9,7 @@ megabyte networks (e.g. DeepFace's ~120M parameters) without allocating them.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Optional, Tuple
 
 import numpy as np
@@ -17,6 +18,10 @@ __all__ = ["Blob", "FLOAT_BYTES"]
 
 #: All arithmetic in the framework is single precision, as in Caffe/cuDNN.
 FLOAT_BYTES = 4
+
+#: Serializes ``Blob.rebinds`` bumps: a lost update could step the
+#: generation back to a value a plan already bound at
+_REBINDS_LOCK = threading.Lock()
 
 
 class Blob:
@@ -30,13 +35,31 @@ class Blob:
         Tensor shape.  Known at construction even when unmaterialized.
     """
 
+    #: Weights generation: bumped by every ``data`` rebind (materialize,
+    #: weight sharing, shm export, archive load).  Execution plans bind their
+    #: kernels over the weight arrays themselves, compare this once per
+    #: execute, and re-bind when it moved (:mod:`repro.nn.engine`).
+    rebinds = 0
+
     def __init__(self, name: str, shape: Tuple[int, ...]):
         if any(int(d) <= 0 for d in shape):
             raise ValueError(f"blob {name!r}: non-positive dimension in shape {shape}")
         self.name = name
         self.shape = tuple(int(d) for d in shape)
-        self.data: Optional[np.ndarray] = None
+        self._data: Optional[np.ndarray] = None
         self.grad: Optional[np.ndarray] = None
+
+    @property
+    def data(self) -> Optional[np.ndarray]:
+        return self._data
+
+    @data.setter
+    def data(self, value: Optional[np.ndarray]) -> None:
+        # array first, generation second: a plan that read the old
+        # generation before binding always sees the bump afterwards
+        self._data = value
+        with _REBINDS_LOCK:
+            Blob.rebinds += 1
 
     # ------------------------------------------------------------------ info
     @property

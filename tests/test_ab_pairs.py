@@ -39,6 +39,26 @@ def test_summary_line_carries_p():
     assert "wins 10/10 p=0.002" in line
 
 
+def test_all_expands_to_every_declared_workload():
+    declared = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in declared["workloads"]]
+    args = ab_pairs.parse_args(["--ref", "HEAD", "--all", "--pairs", "3",
+                                "--first-seed", "7", "--record", "h.jsonl"])
+    assert args.workloads == names and len(names) >= 4
+    assert (args.pairs, args.first_seed, args.record) == (3, 7, "h.jsonl")
+    one = ab_pairs.parse_args(["--ref", "HEAD", "--workload", "dig_app_wire"])
+    assert one.workloads == ["dig_app_wire"] and one.pairs == 10
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ref", "HEAD"],
+    ["--ref", "HEAD", "--all", "--workload", "imc_engine"],
+])
+def test_exactly_one_of_workload_or_all(argv):
+    with pytest.raises(SystemExit):
+        ab_pairs.parse_args(argv)
+
+
 def test_record_round_trips(tmp_path):
     ref, change = [4.0, 5.0, 6.0, 7.0], [3.0, 4.0, 5.0, 8.0]
     stats = {"latency_p50_ms": ab_pairs.compare("lower", ref, change)}

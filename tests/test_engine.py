@@ -21,6 +21,7 @@ from repro.nn import (
     plan_footprint,
 )
 from repro.models import lenet5
+from repro.nn.layers.softmax import softmax
 
 
 def batch_for(net, n, rng, seed_offset=0):
@@ -216,6 +217,234 @@ class TestSteadyStateAllocation:
         # interpreter noise is tens of KB; the legacy path's per-call buffer
         # churn is hundreds of KB to MBs.  64 KB cleanly separates the two.
         assert peak < 64 * 1024, f"steady-state allocation {peak} bytes"
+
+    #: batch 1 (X·Wᵀ), the batched W·Xᵀ panel and its transposed copy, and
+    #: widths that are not powers of two
+    SWEEPS = [("dig", [1, 2, 8]), ("pos", [1, 4, 17, 30]), ("asr", [1, 4])]
+
+    @pytest.mark.parametrize("app,batches", SWEEPS)
+    def test_bound_kernels_allocation_free(self, app, batches):
+        plan = ExecutionPlan(build_net(app, materialize=True), max(batches))
+        peak = measure_steady_state_alloc(plan, batches=batches)
+        assert peak < 64 * 1024, f"steady-state allocation {peak} bytes"
+
+    @pytest.mark.parametrize("app,batches", SWEEPS)
+    def test_every_surface_runs_the_same_kernels(self, app, batches):
+        from repro.obs import LayerTimer
+
+        net = build_net(app, materialize=True)
+        plan = ExecutionPlan(net, max(batches))
+        gen = np.random.default_rng(47)
+        last = len(net.layers) - 1
+        for n in batches:
+            x = gen.standard_normal((n,) + tuple(net.input_shape)).astype(np.float32)
+            whole = plan.run(x)
+            np.testing.assert_array_equal(plan.run(x, timer=LayerTimer()), whole)
+            into = np.empty_like(whole)
+            assert plan.run_into(x, into) is into
+            np.testing.assert_array_equal(into, whole)
+            for k in (0, last // 2, last - 1):
+                with plan.lock:
+                    np.copyto(plan.input_view(n), x)
+                    plan.execute_range(n, 0, k + 1)
+                    split = plan.execute_range(n, k + 1).copy()
+                np.testing.assert_array_equal(split, whole)
+
+
+# ------------------------------------------------------------ bound kernels
+ALL_APPS = ("imc", "dig", "face", "asr", "pos", "chk", "ner")
+
+
+def _zoo_layers(type_name, apps=ALL_APPS):
+    """Every zoo layer of ``type_name`` (set up, weights not materialized),
+    one per distinct geometry."""
+    seen, layers = set(), []
+    for app in apps:
+        for layer in build_net(app, materialize=False).layers:
+            key = tuple(getattr(layer, attr, None) for attr in (
+                "type_name", "in_shape", "out_shape", "kernel_size", "stride",
+                "pad", "group", "mode"))
+            if layer.type_name == type_name and key not in seen:
+                seen.add(key)
+                layers.append(pytest.param(layer, id=f"{app}.{layer.name}"))
+    return layers
+
+
+@pytest.fixture
+def weights():
+    """Materialize a layer's weights for one test, then drop them (zoo
+    layers are shared across parametrized cases; fc6 alone is 151 MB)."""
+    held = []
+
+    def materialize(layer, seed):
+        layer.materialize(np.random.default_rng(seed))
+        held.append(layer)
+        return layer
+
+    yield materialize
+    for layer in held:
+        for blob in layer.params:
+            blob.data = blob.grad = None
+
+
+def _check_bound(layer, n, reference, seed=0):
+    """The bound kernel equals ``reference(x)`` byte for byte, and re-reads
+    its input buffer on every call (two different inputs, one binding)."""
+    gen = np.random.default_rng(seed)
+    x = np.empty((n,) + tuple(layer.in_shape), np.float32)
+    out = np.empty((n,) + tuple(layer.out_shape), np.float32)
+    kernel = layer.bind(x, out, layer.alloc_scratch(n))
+    for _ in range(2):
+        x[...] = gen.standard_normal(x.shape, dtype=np.float32)
+        kernel()
+        np.testing.assert_array_equal(out, reference(x))
+
+
+class TestBoundKernelArithmetic:
+    """Each bound kernel against the formula the allocating kernels used
+    before binding existed: array_equal, never allclose."""
+
+    FC_BATCHES = (1, 2, 3, 4, 8, 17, 30, 64)
+
+    @pytest.mark.parametrize("layer", _zoo_layers("InnerProduct"))
+    def test_inner_product_equals_x_wt(self, layer, weights):
+        weights(layer, 1)
+        w, b = layer.weight.data, layer.bias_blob.data
+        for n in self.FC_BATCHES:
+            _check_bound(layer, n, lambda x: np.matmul(
+                x.reshape(x.shape[0], -1), w.T) + b, seed=n)
+
+    def test_inner_product_without_bias(self, weights):
+        from repro.nn.layers import InnerProductLayer
+
+        layer = InnerProductLayer("ip", num_output=7, bias=False)
+        layer.setup((3, 5))
+        w = weights(layer, 2).weight.data
+        for n in (1, 2, 5):
+            _check_bound(layer, n, lambda x: np.matmul(
+                x.reshape(x.shape[0], -1), w.T), seed=n)
+
+    @staticmethod
+    def conv_reference(layer, x):
+        from repro.nn.layers._im2col import im2col
+
+        n, g, k = x.shape[0], layer.group, layer.kernel_size
+        cols = im2col(x, k, k, layer.stride, layer.pad)
+        fan_in_g = layer.in_channels // g * k * k
+        cout_g = layer.num_output // g
+        cols_g = cols.reshape(n, g, fan_in_g, -1)
+        w = layer.weight.data.reshape(g, cout_g, fan_in_g)
+        out = np.empty((n, g, cout_g, cols.shape[-1]), np.float32)
+        for gi in range(g):
+            out[:, gi] = np.matmul(w[gi], cols_g[:, gi])
+        out = out.reshape((n,) + tuple(layer.out_shape))
+        return out + layer.bias_blob.data[None, :, None, None]
+
+    # FACE's convolutions unfold into 100+ MB column buffers at n = 4; the
+    # AlexNet ones already cover grouped, padded and strided geometry
+    @pytest.mark.parametrize("layer", _zoo_layers("Convolution", ("imc", "dig")) + [
+        pytest.param("grouped-padded-strided", id="grouped-padded-strided")])
+    def test_convolution_equals_im2col_stacked_matmul(self, layer, weights):
+        if isinstance(layer, str):
+            from repro.nn.layers import ConvolutionLayer
+
+            layer = ConvolutionLayer("conv", num_output=6, kernel_size=3,
+                                     stride=2, pad=1, group=3)
+            layer.setup((6, 9, 9))
+        weights(layer, 3)
+        for n in (1, 2, 4):
+            _check_bound(layer, n, lambda x: self.conv_reference(layer, x),
+                         seed=n)
+
+    @staticmethod
+    def pool_reference(layer, x):
+        k, s, p = layer.kernel_size, layer.stride, layer.pad
+        oh, ow = layer.out_h, layer.out_w
+        if p:
+            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)),
+                       constant_values=layer._pad_fill)
+        slices = [x[:, :, i:i + s * oh:s, j:j + s * ow:s]
+                  for i in range(k) for j in range(k)]
+        acc = slices[0].copy()
+        for window in slices[1:]:
+            acc = np.maximum(acc, window) if layer.mode == "max" else acc + window
+        return acc if layer.mode == "max" else acc / (k * k)
+
+    @pytest.mark.parametrize("layer", _zoo_layers("Pooling") + [
+        pytest.param(mode, id=f"{mode}-padded") for mode in ("max", "ave")])
+    def test_pooling_equals_window_reduction(self, layer):
+        if isinstance(layer, str):
+            from repro.nn.layers import PoolingLayer
+
+            layer = PoolingLayer("pool", kernel_size=3, stride=2, pad=1,
+                                 mode=layer)
+            layer.setup((4, 9, 9))
+        for n in (1, 3):
+            _check_bound(layer, n, lambda x: self.pool_reference(layer, x),
+                         seed=n)
+
+    ELEMENTWISE = {
+        "Softmax": softmax,
+        "ReLU": lambda x: np.maximum(x, 0.0),
+        "Sigmoid": lambda x: np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)),
+                                      np.exp(x) / (1.0 + np.exp(x))),
+        "Tanh": np.tanh,
+        "HardTanh": lambda x: np.clip(x, -1.0, 1.0),
+    }
+
+    @pytest.mark.parametrize("type_name", sorted(ELEMENTWISE))
+    def test_elementwise_equals_formula(self, type_name):
+        from repro.nn.layers import create_layer
+
+        layer = create_layer(type_name, "act")
+        layer.setup((3, 17))
+        reference = self.ELEMENTWISE[type_name]
+        for n in (1, 4):
+            _check_bound(layer, n, reference, seed=n)
+            # in place, as a plan runs it over its input's slot
+            gen = np.random.default_rng(n)
+            x = gen.standard_normal((n, 3, 17), dtype=np.float32) * 4
+            expect = reference(x)
+            layer.bind(x, x, layer.alloc_scratch(n))()
+            np.testing.assert_array_equal(x, expect)
+
+
+# ---------------------------------------------------------- weight rebinds
+class TestWeightRebind:
+    """Kernels are bound over weight arrays, so a ``Blob.data`` rebind must
+    re-bind them: stale kernels would answer with, and pin, the old
+    arrays."""
+
+    def test_new_weights_served_after_plan_ran(self):
+        net = build_net("dig", materialize=True)
+        plan = ExecutionPlan(net, 4)
+        x = batch_for(net, 3, 53)
+        before = plan.run(x)
+        other = build_net("dig", materialize=True, seed=1)
+        net.copy_weights_from(other)
+        after = plan.run(x)
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, other.forward(x))
+
+    def test_export_shm_releases_heap_weights(self):
+        import gc
+        import weakref
+
+        registry = ModelRegistry()
+        net = build_net("dig", materialize=True)
+        registry.register("dig", net)
+        plan = registry.plan("dig", 4)
+        x = batch_for(net, 2, 59)
+        before = plan.run(x)
+        heap = [weakref.ref(blob.data) for blob in net.params()]
+        try:
+            registry.export_shm()
+            np.testing.assert_array_equal(plan.run(x), before)
+            gc.collect()
+            assert all(ref() is None for ref in heap)
+            assert all(not blob.data.flags.writeable for blob in net.params())
+        finally:
+            registry.close_shm()
 
 
 # ---------------------------------------------------------------- profiling

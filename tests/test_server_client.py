@@ -156,6 +156,12 @@ class TestLifecycle:
         before = worker_threads()
         for _ in range(300):
             socket.create_connection(server.address).close()
+        # the accept loop takes the backlog in order, so once one more
+        # connection answers, every churned one has been accepted; before
+        # that an empty _conns can be a lull between a worker unwinding
+        # and the next accept, and the checks below would race it
+        with DjinnClient(*server.address) as probe:
+            probe.list_models()
         deadline = time.monotonic() + 10.0
         while ((server._conns or worker_threads() > before)
                and time.monotonic() < deadline):
