@@ -14,7 +14,7 @@ exercises the tail-exemplar path end to end: the latency histogram's
 slowest-request exemplars are resolved back through the tracer into a full
 cost ledger — the same lookup ``djinn slow`` performs.
 
-It also sweeps the v5 APP path against the classic preprocessed-tensor
+It also sweeps the APP frame path against the classic preprocessed-tensor
 path for the same queries: the raw uint8 payload is a fraction of the
 preprocessed float tensor's wire bytes, and the preprocess milliseconds —
 invisible client-side work before this protocol — show up *server-side*
@@ -173,7 +173,7 @@ def run_config(model: str, batch: int, mode: str, requests: int,
 def run_raw_vs_tensor(requests: int, warmup: int) -> dict:
     """APP path (raw payload, server-side pre/post) vs preprocessed INFER.
 
-    Same queries both ways against one batched server: the v5 frame ships
+    Same queries both ways against one batched server: the APP frame ships
     the raw uint8 image and the server runs the Tonic pipeline; the
     classic frame ships the preprocessed float tensor the client computed.
     Records wire payload bytes and the aggregated stage shares of each
@@ -365,7 +365,7 @@ def main(argv=None) -> int:
             failures.append("no tail exemplar resolved to a cost ledger")
         if raw_vs_tensor["app_preprocess_share"] <= 0.0:
             failures.append("APP path attributed no server-side preprocess "
-                            "time — the v5 pipeline is not being measured")
+                            "time — the APP pipeline is not being measured")
         if raw_vs_tensor["raw_wire_bytes"] >= raw_vs_tensor["tensor_wire_bytes"]:
             failures.append("raw payload is not smaller than the "
                             "preprocessed tensor on the wire")

@@ -13,7 +13,7 @@ Commands
 ``djinn query --host H --port P --app dig``
     Run one Tonic query against a live server and print the result.
 ``djinn stream --host H --port P [--model asr] [--chunks K] [--words a,b]``
-    Open a protocol-v4 streaming session: for ``asr``, synthesize an
+    Open a streaming session (stream frames): for ``asr``, synthesize an
     utterance, feed it in chunks, and print the incremental partial
     transcripts plus the exact final one; for any other model, stream
     stamped chunks through the generic label app.  Works against a server
@@ -146,7 +146,7 @@ def cmd_serve(args) -> int:
 
 
 def _query_raw(client, args) -> int:
-    """``--raw``: ship the unpreprocessed payload on a v5 APP frame.
+    """``--raw``: ship the unpreprocessed payload on an APP frame.
 
     The server runs the whole Tonic preprocess → DNN → postprocess
     pipeline and answers with the app's JSON result; the dig payload goes
@@ -778,7 +778,7 @@ def main(argv=None) -> int:
     query.add_argument("--tenant", default="",
                        help="tenant id for per-tenant gateway rate limits")
     query.add_argument("--raw", action="store_true",
-                       help="send the raw payload (protocol v5 APP frame) "
+                       help="send the raw payload (APP frame) "
                             "and let the server run preprocess/postprocess; "
                             "dig ships uint8 pixel bytes, NLP apps ship "
                             "query text (the server must be configured "

@@ -51,14 +51,14 @@ itself.  :meth:`BatchingExecutor.submit` copies on behalf of the caller;
 such as :class:`repro.core.server.DjinnServer`, which serializes straight
 from the slab and then releases.
 
-App requests (protocol v5, :meth:`BatchingExecutor.submit_app`) carry a raw
+App requests (APP frames, :meth:`BatchingExecutor.submit_app`) carry a raw
 payload plus its :class:`repro.tonic.TonicApp`: ``preprocess_batch`` runs
 over every raw request the batch coalesced (in the worker process's shm
 slot when a proc pool is armed and the payloads are slot-eligible),
 ``postprocess_batch`` over the result block, and each waiter receives its
 final application answer — no arena lease to release.  A poisoned payload
 fails only its own request: the vectorized call falls back to the per-item
-loop to isolate the offender.  Streaming (protocol v4) chunks are ordinary
+loop to isolate the offender.  Stream-frame chunks are ordinary
 :meth:`submit_lease` calls.
 
 The layer cache (``layer_cache=``) is per model, not per plan:

@@ -121,9 +121,8 @@ class DjinnClient:
 
     ``tracer`` defaults to the process tracer (disabled unless enabled);
     while it is enabled each :meth:`infer` opens a ``client.infer`` span and
-    sends its trace context on the wire (protocol v2), so the server's spans
-    join the same trace.  With the tracer disabled, frames are byte-identical
-    to the pre-trace protocol.
+    sends its trace context on the wire, so the server's spans join the same
+    trace.  With the tracer disabled, the frame's trace context is zero.
     """
 
     def __init__(self, host: str, port: int, timeout_s: float = 30.0,
@@ -311,7 +310,7 @@ class DjinnClient:
     def app_message(app: str, raw, deadline_ms: float = 0.0,
                     priority: int = 0, tenant: str = "",
                     trace_id: int = 0, span_id: int = 0) -> Message:
-        """Build the v5 APP_REQUEST frame for a raw application payload.
+        """Build the APP_REQUEST frame for a raw application payload.
 
         The payload kind follows the python type: ``str`` ships as UTF-8
         text (NLP queries), a ``uint8`` array as raw bytes (pixel/sample
@@ -334,7 +333,7 @@ class DjinnClient:
 
     def infer_app(self, app: str, raw, deadline_ms: float = 0.0,
                   priority: int = 0, tenant: str = ""):
-        """Run one raw application query server-side (protocol v5).
+        """Run one raw application query server-side (an APP frame).
 
         ``raw`` is the *unpreprocessed* payload — an image (float array in
         [0, 1] or uint8 bytes), audio samples, or query text — and the
@@ -387,7 +386,7 @@ class DjinnClient:
     # ------------------------------------------------------------- streaming
     def open_stream(self, model: str, stream_id: Optional[int] = None,
                     priority: int = 0, tenant: str = "") -> "DjinnStream":
-        """Open a streaming session for ``model`` (protocol v4).
+        """Open a streaming session for ``model`` (stream frames).
 
         Stream ids are per-connection; by default the client allocates the
         next unused one.  Raises :class:`DjinnSessionLimitError` when the

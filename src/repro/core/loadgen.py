@@ -120,7 +120,7 @@ class RequestClass:
 
     ``weight`` sets the class's share of arrivals; ``deadline_ms`` /
     ``priority`` / ``tenant`` are stamped on every request of the class
-    (protocol v3).  A class with no deadline is SLO-attained whenever it
+    (the frame's QoS fields).  A class with no deadline is SLO-attained whenever it
     completes.
     """
 

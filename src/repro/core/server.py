@@ -396,7 +396,7 @@ class DjinnServer(TcpServiceBase):
         ``session_idle_s`` is reaped in the background.
     apps:
         Optional dict mapping model name to the :class:`repro.tonic.TonicApp`
-        whose pre/postprocess kernels serve that model's v5 ``APP_REQUEST``
+        whose pre/postprocess kernels serve that model's ``APP_REQUEST``
         traffic (raw payload in, application answer out).  Models without
         an entry get a default app when their name and shape match one of
         the stateless Tonic apps (``imc``, ``dig``, ``face``, ``asr`` — see
@@ -488,7 +488,7 @@ class DjinnServer(TcpServiceBase):
         self._stream_sessions = self.metrics.gauge(
             "djinn_stream_sessions", "Currently open stream sessions.")
         self._stream_apps = dict(stream_apps) if stream_apps else {}
-        #: explicit app table for v5 APP_REQUEST serving; defaults are
+        #: explicit app table for APP_REQUEST serving; defaults are
         #: merged in lazily on first use (models may register after init)
         self._apps = dict(apps) if apps else {}
         self._apps_built = False

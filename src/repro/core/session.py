@@ -1,7 +1,7 @@
 """Per-stream session state for streaming inference.
 
 The unary DjiNN protocol is stateless: every request carries everything the
-server needs.  Streaming (protocol v4) is not — a stream's chunks share
+server needs.  Streaming (stream frames) is not — a stream's chunks share
 carry-over context (feature tails, decoder state) that must live *somewhere*
 between frames.  :class:`SessionManager` is that somewhere: a bounded,
 lock-protected table of :class:`StreamSession` entries keyed by

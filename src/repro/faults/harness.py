@@ -127,7 +127,7 @@ class ChaosReport:
     stream_mismatched: int = 0
     stream_aborted_metric: int = 0  # djinn_stream_aborted_total (fleet sum)
     sessions_leaked: int = 0
-    #: raw-payload (protocol v5 APP_REQUEST) load after the unary loop:
+    #: raw-payload (APP_REQUEST frame) load after the unary loop:
     #: ``app_ok`` answered with the locally recomputed application result,
     #: ``app_errors`` died on a typed error, ``app_mismatched`` answered
     #: wrong.  A poisoned preprocess (``app.preprocess:error``) must cost
@@ -458,7 +458,7 @@ class ChaosHarness:
         aborted stream, so each injected drop costs exactly one stream.
     app_requests:
         Raw-payload load after the unary loop: that many sequential
-        protocol-v5 APP_REQUEST frames for ``model`` (which must have a
+        APP_REQUEST frames for ``model`` (which must have a
         default serving app — e.g. ``dig``), each answer checked against
         the locally recomputed application result.  The
         ``app.preprocess`` fault site only sees traffic when this is set.
@@ -540,7 +540,7 @@ class ChaosHarness:
         return x
 
     def _app_raw(self, index: int, shape) -> np.ndarray:
-        """A stamped uint8 raw payload (pixels on the wire, protocol v5)."""
+        """A stamped uint8 raw payload (pixels on the wire, an APP frame)."""
         raw = np.full(tuple(shape), 64, dtype=np.uint8)
         raw.reshape(-1)[0] = np.uint8(index + 1)
         return raw

@@ -290,7 +290,8 @@ class FaultInjector:
         return b"XJNN" + frame[4:]
 
     def on_recv(self, sock: socket.socket, scope: str) -> None:
-        """Called by ``recv_message`` before any bytes are read."""
+        """Called by ``FrameReader.read`` once per frame, before any bytes
+        are read."""
         rule = self._fire("protocol.recv", scope)
         if rule is None:
             return

@@ -12,9 +12,9 @@ Layers
     :class:`MetricsRegistry`, Prometheus-style exposition, wire-friendly
     dumps and fleet-level merges.
 :mod:`repro.obs.trace`
-    :class:`Span`/:class:`Tracer` with wire-propagated trace IDs (protocol
-    v2), Chrome trace-event export, coverage analysis, and the structured
-    ``log_event`` helper.
+    :class:`Span`/:class:`Tracer` with wire-propagated trace IDs (the
+    frame's trace context), Chrome trace-event export, coverage analysis,
+    and the structured ``log_event`` helper.
 :mod:`repro.obs.profile`
     :class:`LayerTimer`, the per-layer forward-pass breakdown hook.
 :mod:`repro.obs.cost`

@@ -11,7 +11,7 @@ trace into a **cost ledger** over a fixed stage taxonomy:
     sub-breakdown and an engine.cache probe window) → postprocess →
     respond
 
-On the v5 APP path the ``preprocess``/``postprocess`` stages are fed by
+On the APP frame path the ``preprocess``/``postprocess`` stages are fed by
 the server-side ``app.preprocess``/``app.postprocess`` spans — the whole
 point of pushing Tonic's pipeline behind the wire is that those
 milliseconds become attributable server-side instead of vanishing into
@@ -89,7 +89,7 @@ SPAN_STAGE: Dict[str, Optional[str]] = {
     "batch.assemble": "batch.assemble",
     "batch.scatter": "batch.assemble",    # disassembly: result hand-out
     "preprocess": "preprocess",
-    "app.preprocess": "preprocess",       # server-side Tonic kernel (v5)
+    "app.preprocess": "preprocess",       # server-side Tonic kernel (APP)
     "net.forward": "net.forward",
     "app.postprocess": "postprocess",
     "backend.respond": "respond",

@@ -3,7 +3,7 @@
 The paper's Fig. 4 splits one query into pre-processing, network, queueing,
 and per-layer GPU compute; this module is the machinery that produces that
 breakdown on the live service.  A :class:`Tracer` collects :class:`Span`
-records; trace and span IDs travel on the wire (protocol v2 frames, see
+records; trace and span IDs travel on the wire (the frame's trace context, see
 :mod:`repro.core.protocol`) so one client request yields a single trace
 covering client serialize → gateway route/retry → backend queue/batch/
 forward/respond, across every process-in-a-process hop.

@@ -1,6 +1,6 @@
 """Serving glue: raw wire payloads in, JSON-able application results out.
 
-The v5 ``APP_REQUEST`` frame carries a Tonic application's *raw* input —
+The ``APP_REQUEST`` frame carries a Tonic application's *raw* input —
 pixel bytes, audio samples, token text — and the server runs the whole
 preprocess → DNN → postprocess pipeline (see ``docs/service_protocol.md``).
 This module is the seam between the wire and :class:`repro.tonic.TonicApp`:

@@ -1,4 +1,4 @@
-"""End-to-end tests for server-side app serving (protocol v5 APP frames).
+"""End-to-end tests for server-side app serving (APP frames).
 
 Covers the whole new request path: the server's APP_REQUEST handling
 (inline and batched), the executor's ``submit_app`` staged pipeline, the

@@ -1,9 +1,12 @@
 """Unit tests for the DjiNN wire protocol."""
 
 import dataclasses
+import json
 import socket
+import struct
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,6 @@ import pytest
 from repro.core import protocol
 from repro.core.client import DjinnClient, DjinnConnectionError
 from repro.core.protocol import (
-    APP_VERSION,
     KIND_TENSOR,
     KIND_TEXT,
     KIND_U8,
@@ -20,11 +22,8 @@ from repro.core.protocol import (
     MAX_NDIM,
     MAX_STREAM_ID,
     MAX_TENANT_BYTES,
-    QOS_VERSION,
     STREAM_FINAL,
     STREAM_TYPES,
-    STREAM_VERSION,
-    TRACE_VERSION,
     VERSION,
     FrameReader,
     Message,
@@ -35,6 +34,8 @@ from repro.core.protocol import (
     recv_message,
     send_message,
 )
+
+_T, _ROW = MessageType, np.zeros((1, 4), np.float32)
 
 
 @pytest.fixture
@@ -51,13 +52,32 @@ def roundtrip(pair, message):
     return recv_message(b)
 
 
+def assert_roundtrips(pair, *messages):
+    for message in messages:
+        assert_same_message(roundtrip(pair, message), message)
+
+
+def pack_frame(message, flags=None, body=None, version=VERSION):
+    """``message`` packed by hand from the documented layout, with none of
+    the encoder's checks — for frames a conforming sender never emits."""
+    dims = message.tensor.shape if message.tensor is not None else ()
+    name, tenant = message.name.encode(), message.tenant.encode()
+    body = bytes(message.body()) if body is None else body
+    return (struct.pack("<4sBBHBQQIbBIBIB", b"DJNN", version, message.type,
+                        len(name), len(dims), message.trace_id,
+                        message.span_id, round(message.deadline_ms * 1e3),
+                        message.priority, len(tenant), message.stream_id,
+                        STREAM_FINAL * message.stream_final if flags is None
+                        else flags, message.stream_seq, message.payload_kind)
+            + struct.pack(f"<{len(dims)}IQ", *dims, len(body))
+            + name + tenant + body)
+
+
 class TestRoundtrip:
     def test_tensor_message(self, sock_pair, rng):
         tensor = rng.normal(size=(3, 4, 5)).astype(np.float32)
-        out = roundtrip(sock_pair, Message(MessageType.INFER_REQUEST, name="imc", tensor=tensor))
-        assert out.type == MessageType.INFER_REQUEST
-        assert out.name == "imc"
-        np.testing.assert_array_equal(out.tensor, tensor)
+        assert_roundtrips(sock_pair, Message(MessageType.INFER_REQUEST, name="imc",
+                                             tensor=tensor))
 
     def test_tensor_cast_to_float32(self, sock_pair):
         tensor = np.arange(6, dtype=np.float64).reshape(2, 3)
@@ -71,14 +91,11 @@ class TestRoundtrip:
         np.testing.assert_array_equal(out.tensor, tensor)
 
     def test_text_message(self, sock_pair):
-        out = roundtrip(sock_pair, Message(MessageType.ERROR, text="no such model: café"))
-        assert out.type == MessageType.ERROR
-        assert out.text == "no such model: café"
+        assert_roundtrips(sock_pair, Message(MessageType.ERROR,
+                                             text="no such model: café"))
 
     def test_empty_message(self, sock_pair):
-        out = roundtrip(sock_pair, Message(MessageType.LIST_REQUEST))
-        assert out.type == MessageType.LIST_REQUEST
-        assert out.tensor is None and out.text == ""
+        assert_roundtrips(sock_pair, Message(MessageType.LIST_REQUEST))
 
     def test_back_to_back_frames(self, sock_pair):
         a, b = sock_pair
@@ -90,8 +107,6 @@ class TestRoundtrip:
     def test_large_tensor(self, sock_pair, rng):
         """A payload larger than the kernel socket buffer needs a concurrent
         reader (send from a thread, as a real client/server pair would)."""
-        import threading
-
         tensor = rng.normal(size=(100, 1000)).astype(np.float32)  # ~400KB
         a, b = sock_pair
         sender = threading.Thread(
@@ -106,62 +121,30 @@ class TestRoundtrip:
 
 
 class TestTraceContext:
-    """The optional version-2 trace extension and its v1 interop."""
+    """The trace context (trace_id 0 = untraced)."""
 
-    def test_trace_ids_roundtrip(self, sock_pair, rng):
-        tensor = rng.normal(size=(2, 3)).astype(np.float32)
-        msg = Message(MessageType.INFER_REQUEST, name="pos", tensor=tensor,
-                      trace_id=0xDEADBEEFCAFEF00D, span_id=42)
-        out = roundtrip(sock_pair, msg)
-        assert out.trace_id == 0xDEADBEEFCAFEF00D
-        assert out.span_id == 42
-        np.testing.assert_array_equal(out.tensor, tensor)
+    def test_trace_ids_roundtrip(self, sock_pair):
+        assert_roundtrips(sock_pair, GOLDEN_MESSAGES["traced-infer-response"])
 
-    def test_untraced_frame_is_byte_identical_v1(self, sock_pair):
-        """A new sender with no trace context must emit exactly the old
-        wire bytes — this is what keeps old receivers working."""
-        a, b = sock_pair
-        msg = Message(MessageType.INFER_REQUEST, name="dig",
-                      tensor=np.zeros((1, 4), np.float32))
-        send_message(a, msg)
-        frame = b.recv(1 << 16)
-        # hand-pack the original v1 layout
-        import struct
-        expected = struct.pack("<4sBBHB", b"DJNN", VERSION,
-                               int(MessageType.INFER_REQUEST), 3, 2)
-        expected += struct.pack("<I", 1) + struct.pack("<I", 4)
-        expected += struct.pack("<Q", 16) + b"dig" + bytes(16)
-        assert frame == expected
+    def test_untraced_frame_is_byte_identical_v1(self):
+        """Trace context touches only its own 16 bytes: the untraced frame
+        is the traced one with that block zeroed."""
+        plain = GOLDEN_MESSAGES["plain-infer"]
+        traced = encode_message(dataclasses.replace(plain, trace_id=7, span_id=9))
+        assert traced[9:25] == struct.pack("<QQ", 7, 9)
+        assert traced[:9] + bytes(16) + traced[25:] == encode_message(plain)
 
     def test_old_client_v1_frame_parses_with_zero_trace(self, sock_pair):
-        """Hand-packed v1 frame (an old client) → new receiver: trace
-        context reads as absent, everything else intact."""
-        import struct
+        """A hand-packed frame from a sender with no trace context: the
+        zero trace block reads as absent, everything else intact."""
         a, b = sock_pair
-        frame = struct.pack("<4sBBHB", b"DJNN", VERSION,
-                            int(MessageType.STATS_REQUEST), 0, 0)
-        frame += struct.pack("<Q", 0)
-        a.sendall(frame)
+        a.sendall(pack_frame(Message(_T.STATS_REQUEST)))
         out = recv_message(b)
-        assert out.type == MessageType.STATS_REQUEST
-        assert out.trace_id == 0 and out.span_id == 0
-
-    def test_hand_packed_v2_frame_parses(self, sock_pair):
-        import struct
-        a, b = sock_pair
-        frame = struct.pack("<4sBBHB", b"DJNN", TRACE_VERSION,
-                            int(MessageType.LIST_REQUEST), 0, 0)
-        frame += struct.pack("<QQ", 7, 9) + struct.pack("<Q", 0)
-        a.sendall(frame)
-        out = recv_message(b)
-        assert out.type == MessageType.LIST_REQUEST
-        assert (out.trace_id, out.span_id) == (7, 9)
+        assert (out.type, out.trace_id, out.span_id) == (_T.STATS_REQUEST, 0, 0)
 
     def test_traced_error_and_text_frames(self, sock_pair):
-        out = roundtrip(sock_pair, Message(MessageType.ERROR, text="boom",
-                                           trace_id=1, span_id=2))
-        assert (out.trace_id, out.span_id) == (1, 2)
-        assert out.text == "boom"
+        assert_roundtrips(sock_pair, Message(MessageType.ERROR, text="boom",
+                                             trace_id=1, span_id=2))
 
     def test_trace_id_out_of_u64_range_rejected(self, sock_pair):
         a, _ = sock_pair
@@ -172,78 +155,29 @@ class TestTraceContext:
                                     trace_id=1, span_id=-5))
 
     def test_metrics_message_types_roundtrip(self, sock_pair):
-        assert roundtrip(sock_pair, Message(MessageType.METRICS_REQUEST)).type \
-            == MessageType.METRICS_REQUEST
-        out = roundtrip(sock_pair, Message(MessageType.METRICS_RESPONSE,
-                                           text='{"metrics": {}}'))
-        assert out.type == MessageType.METRICS_RESPONSE
-        assert out.text == '{"metrics": {}}'
+        assert_roundtrips(sock_pair, Message(MessageType.METRICS_REQUEST),
+                          Message(MessageType.METRICS_RESPONSE,
+                                  text='{"metrics": {}}'))
 
 
 class TestQosContext:
-    """The version-3 QoS extension and its v1/v2 interop."""
+    """The QoS fields (deadline 0 = none, priority 0, empty tenant)."""
 
-    def test_qos_fields_roundtrip(self, sock_pair, rng):
-        tensor = rng.normal(size=(2, 3)).astype(np.float32)
-        msg = Message(MessageType.INFER_REQUEST, name="pos", tensor=tensor,
-                      deadline_ms=12.5, priority=3, tenant="alice")
-        out = roundtrip(sock_pair, msg)
-        assert out.deadline_ms == pytest.approx(12.5)
-        assert out.priority == 3
-        assert out.tenant == "alice"
-        assert out.has_qos
-        np.testing.assert_array_equal(out.tensor, tensor)
+    def test_qos_fields_roundtrip(self, sock_pair):
+        assert_roundtrips(sock_pair, GOLDEN_MESSAGES["qos-infer-tenant"])
 
     def test_qos_with_trace_context(self, sock_pair):
-        msg = Message(MessageType.INFER_REQUEST, name="dig",
-                      tensor=np.zeros((1, 4), np.float32),
-                      trace_id=7, span_id=9, deadline_ms=100.0, priority=-2,
-                      tenant="t")
-        out = roundtrip(sock_pair, msg)
-        assert (out.trace_id, out.span_id) == (7, 9)
-        assert (out.deadline_ms, out.priority, out.tenant) == (100.0, -2, "t")
+        assert_roundtrips(sock_pair, Message(
+            MessageType.INFER_REQUEST, name="dig", tensor=np.zeros((1, 4), np.float32),
+            trace_id=7, span_id=9, deadline_ms=100.0, priority=-2, tenant="t"))
 
-    def test_qos_less_frame_is_byte_identical_v1(self, sock_pair):
-        """A QoS-capable sender with no QoS fields must emit exactly the
-        old wire bytes — golden-digest compatibility depends on this."""
-        import struct
-        a, b = sock_pair
-        msg = Message(MessageType.INFER_REQUEST, name="dig",
-                      tensor=np.zeros((1, 4), np.float32))
-        send_message(a, msg)
-        frame = b.recv(1 << 16)
-        assert frame[4] == VERSION  # not QOS_VERSION
-        expected = struct.pack("<4sBBHB", b"DJNN", VERSION,
-                               int(MessageType.INFER_REQUEST), 3, 2)
-        expected += struct.pack("<I", 1) + struct.pack("<I", 4)
-        expected += struct.pack("<Q", 16) + b"dig" + bytes(16)
-        assert frame == expected
-
-    def test_traced_qos_less_frame_stays_v2(self, sock_pair):
-        a, b = sock_pair
-        send_message(a, Message(MessageType.LIST_REQUEST, trace_id=1, span_id=2))
-        frame = b.recv(1 << 16)
-        assert frame[4] == TRACE_VERSION
-
-    def test_hand_packed_v3_frame_parses(self, sock_pair):
-        """A v3 frame built byte by byte from the documented layout."""
-        import struct
-        a, b = sock_pair
-        tenant = b"acme"
-        frame = struct.pack("<4sBBHB", b"DJNN", QOS_VERSION,
-                            int(MessageType.INFER_REQUEST), 3, 2)
-        frame += struct.pack("<QQ", 0, 0)               # trace block (zeros)
-        frame += struct.pack("<IbB", 2500, -1, len(tenant))  # QoS block
-        frame += struct.pack("<I", 1) + struct.pack("<I", 4)
-        frame += struct.pack("<Q", 16) + b"dig" + tenant + bytes(16)
-        a.sendall(frame)
-        out = recv_message(b)
-        assert out.type == MessageType.INFER_REQUEST
-        assert out.name == "dig"
-        assert out.deadline_ms == pytest.approx(2.5)
-        assert out.priority == -1
-        assert out.tenant == "acme"
-        assert out.tensor.shape == (1, 4)
+    def test_qos_less_frame_is_byte_identical_v1(self):
+        """With no tenant, QoS touches only its own 6 bytes: the QoS-less
+        frame is the QoS one with that block zeroed."""
+        plain = GOLDEN_MESSAGES["plain-infer"]
+        qos = encode_message(dataclasses.replace(plain, deadline_ms=2.5, priority=-1))
+        assert qos[25:31] == struct.pack("<IbB", 2500, -1, 0)
+        assert qos[:25] + bytes(6) + qos[31:] == encode_message(plain)
 
     def test_tiny_deadline_survives_the_wire(self, sock_pair):
         """A nonzero deadline must never round down to "no deadline": the
@@ -276,40 +210,36 @@ class TestQosContext:
                                     tenant="x" * (MAX_TENANT_BYTES + 1)))
 
     def test_max_tenant_roundtrips(self, sock_pair):
-        tenant = "t" * MAX_TENANT_BYTES
-        out = roundtrip(sock_pair, Message(MessageType.INFER_REQUEST,
-                                           name="m", tenant=tenant))
-        assert out.tenant == tenant
+        assert_roundtrips(sock_pair, Message(MessageType.INFER_REQUEST, name="m",
+                                             tenant="t" * MAX_TENANT_BYTES))
 
     def test_qos_rejection_types_roundtrip(self, sock_pair):
-        out = roundtrip(sock_pair, Message(MessageType.DEADLINE_EXCEEDED,
-                                           text="too late"))
-        assert out.type == MessageType.DEADLINE_EXCEEDED
-        assert out.text == "too late"
         body = '{"error": "shed", "reason": "predicted_late", "retry_after_ms": 5.0}'
-        out = roundtrip(sock_pair, Message(MessageType.OVERLOADED, text=body))
-        assert out.type == MessageType.OVERLOADED
-        assert out.text == body
+        assert_roundtrips(sock_pair,
+                          Message(MessageType.DEADLINE_EXCEEDED, text="too late"),
+                          Message(MessageType.OVERLOADED, text=body))
 
     def test_old_receiver_rejects_v3_loudly(self, sock_pair):
-        """There is no silent desync path: a peer that has never heard of
-        version 3 fails the version check on the first header."""
-        import struct
+        """No silent desync: a whole frame in a layout this receiver does
+        not speak (a retired version or a later one) fails on its 9-byte
+        prefix, and nothing past the prefix is read."""
         a, b = sock_pair
-        frame = struct.pack("<4sBBHB", b"DJNN", 99,
-                            int(MessageType.INFER_REQUEST), 0, 0)
-        frame += struct.pack("<Q", 0)
-        a.sendall(frame)
-        with pytest.raises(ProtocolError, match="version"):
-            recv_message(b)
+        b.settimeout(5.0)
+        for version in (3, VERSION + 1):
+            frame = pack_frame(GOLDEN_MESSAGES["qos-infer-tenant"], version=version)
+            a.sendall(frame)
+            with pytest.raises(ProtocolError, match="unsupported protocol version"):
+                recv_message(b)
+            assert b.recv(len(frame)) == frame[9:]
 
 
 class TestStreamContext:
-    """The version-4 stream extension and its v1/v2/v3 interop."""
+    """The stream fields (stream_id 0 = unary)."""
 
     def test_stream_frame_types_roundtrip(self, sock_pair, rng):
         chunk = rng.normal(size=(2, 5)).astype(np.float32)
-        frames = [
+        assert_roundtrips(
+            sock_pair,
             Message(MessageType.STREAM_OPEN, name="asr", stream_id=3),
             Message(MessageType.STREAM_CHUNK, name="asr", tensor=chunk,
                     stream_id=3, stream_seq=1),
@@ -320,124 +250,43 @@ class TestStreamContext:
             Message(MessageType.STREAM_CLOSE, name="asr", stream_id=3,
                     stream_seq=2),
             Message(MessageType.SESSION_LIMIT,
-                    text='{"error": "full", "limit": 64}', stream_id=3),
-        ]
-        for msg in frames:
-            out = roundtrip(sock_pair, msg)
-            assert out.type == msg.type
-            assert out.stream_id == msg.stream_id
-            assert out.stream_seq == msg.stream_seq
-            assert out.stream_final == msg.stream_final
-            assert out.text == msg.text
-            if msg.tensor is not None:
-                np.testing.assert_array_equal(out.tensor, msg.tensor)
+                    text='{"error": "full", "limit": 64}', stream_id=3))
 
     def test_stream_frame_with_trace_and_qos(self, sock_pair, rng):
         chunk = rng.normal(size=(1, 4)).astype(np.float32)
-        msg = Message(MessageType.STREAM_CHUNK, name="asr", tensor=chunk,
-                      stream_id=9, stream_seq=4, trace_id=0xCAFE, span_id=2,
-                      priority=3, tenant="alice")
-        out = roundtrip(sock_pair, msg)
-        assert (out.trace_id, out.span_id) == (0xCAFE, 2)
-        assert (out.priority, out.tenant) == (3, "alice")
-        assert (out.stream_id, out.stream_seq) == (9, 4)
+        assert_roundtrips(sock_pair, Message(
+            MessageType.STREAM_CHUNK, name="asr", tensor=chunk, stream_id=9,
+            stream_seq=4, trace_id=0xCAFE, span_id=2, priority=3, tenant="alice"))
 
-    def test_unary_frames_keep_their_pre_stream_versions(self, sock_pair):
-        """The minimal-version rule survives v4: plain → 1, traced → 2,
-        qos → 3.  This is the no-regression guarantee for every golden
-        digest and every old peer."""
-        a, b = sock_pair
-        cases = [
-            (Message(MessageType.INFER_REQUEST, name="dig",
-                     tensor=np.zeros((1, 4), np.float32)), VERSION),
-            (Message(MessageType.LIST_REQUEST, trace_id=1, span_id=2),
-             TRACE_VERSION),
-            (Message(MessageType.INFER_REQUEST, name="m", deadline_ms=5.0),
-             QOS_VERSION),
-            (Message(MessageType.STREAM_OPEN, name="m", stream_id=1),
-             STREAM_VERSION),
-        ]
-        for msg, version in cases:
-            send_message(a, msg)
-            frame = b.recv(1 << 16)
-            assert frame[4] == version
-
-    def test_unary_v1_bytes_unchanged_exact(self, sock_pair):
-        """Full byte-for-byte regression of the v1 layout post-v4."""
-        import struct
-        frame = _capture_frame(Message(MessageType.INFER_REQUEST, name="dig",
-                                       tensor=np.zeros((1, 4), np.float32)))
-        expected = struct.pack("<4sBBHB", b"DJNN", VERSION,
-                               int(MessageType.INFER_REQUEST), 3, 2)
-        expected += struct.pack("<I", 1) + struct.pack("<I", 4)
-        expected += struct.pack("<Q", 16) + b"dig" + bytes(16)
-        assert frame == expected
+    def test_unary_v1_bytes_unchanged_exact(self):
+        """Byte for byte, a plain unary frame packed field by field: the
+        prefix, 32 zero bytes of optional fields, dims, body_len, name, body."""
+        expected = (b"DJNN" + bytes([VERSION, _T.INFER_REQUEST])
+                    + struct.pack("<HB", 3, 2) + bytes(32)
+                    + struct.pack("<IIQ", 1, 4, 16) + b"dig" + bytes(16))
+        assert _capture_frame(Message(_T.INFER_REQUEST, name="dig",
+                                      tensor=_ROW)) == expected
 
     def test_encode_message_matches_send_message_bytes(self):
-        for msg in (
-            Message(MessageType.INFER_REQUEST, name="pos",
-                    tensor=np.arange(6, dtype=np.float32).reshape(2, 3)),
-            Message(MessageType.STREAM_CHUNK, name="asr",
-                    tensor=np.ones((1, 4), np.float32),
-                    stream_id=2, stream_seq=7),
-        ):
+        for name in ("stream-chunk", "stream-result-final"):
+            msg = GOLDEN_MESSAGES[name]
             assert encode_message(msg) == _capture_frame(msg)
 
-    def test_hand_packed_v4_frame_parses(self, sock_pair):
-        """A v4 frame built byte by byte from the documented layout."""
-        import struct
-        a, b = sock_pair
-        frame = struct.pack("<4sBBHB", b"DJNN", STREAM_VERSION,
-                            int(MessageType.STREAM_CHUNK), 3, 2)
-        frame += struct.pack("<QQ", 0, 0)              # trace block (zeros)
-        frame += struct.pack("<IbB", 0, 0, 0)          # qos block (zeros)
-        frame += struct.pack("<IBI", 5, 0, 2)          # stream block
-        frame += struct.pack("<I", 1) + struct.pack("<I", 4)
-        frame += struct.pack("<Q", 16) + b"asr" + bytes(16)
-        a.sendall(frame)
-        out = recv_message(b)
-        assert out.type == MessageType.STREAM_CHUNK
-        assert (out.stream_id, out.stream_seq, out.stream_final) == (5, 2, False)
-        assert out.tensor.shape == (1, 4)
-
     def test_v4_frame_with_zero_stream_id_rejected(self, sock_pair):
-        import struct
-        a, b = sock_pair
-        frame = struct.pack("<4sBBHB", b"DJNN", STREAM_VERSION,
-                            int(MessageType.STREAM_OPEN), 0, 0)
-        frame += struct.pack("<QQ", 0, 0) + struct.pack("<IbB", 0, 0, 0)
-        frame += struct.pack("<IBI", 0, 0, 0)
-        frame += struct.pack("<Q", 0)
-        a.sendall(frame)
-        with pytest.raises(ProtocolError, match="without a stream id"):
-            recv_message(b)
-
-    def test_unknown_stream_flags_rejected(self, sock_pair):
-        import struct
-        a, b = sock_pair
-        frame = struct.pack("<4sBBHB", b"DJNN", STREAM_VERSION,
-                            int(MessageType.STREAM_RESULT), 0, 0)
-        frame += struct.pack("<QQ", 0, 0) + struct.pack("<IbB", 0, 0, 0)
-        frame += struct.pack("<IBI", 1, 0x80, 1)
-        frame += struct.pack("<Q", 0)
-        a.sendall(frame)
-        with pytest.raises(ProtocolError, match="stream flags"):
-            recv_message(b)
+        assert_readers_refuse(sock_pair, pack_frame(Message(_T.STREAM_CLOSE,
+                                                            name="asr")),
+                              "STREAM_CLOSE frame without a stream id")
 
     def test_stream_type_without_stream_id_rejected_on_send(self, sock_pair):
-        a, _ = sock_pair
+        """Refused before anything reaches the wire."""
+        a, b = sock_pair
         for mtype in STREAM_TYPES:
-            with pytest.raises(ProtocolError, match="without a stream id"):
+            with pytest.raises(ProtocolError,
+                               match=f"{mtype.name} frame without a stream id"):
                 send_message(a, Message(mtype, name="m"))
-
-    def test_stream_fields_on_unary_frame_rejected_on_send(self, sock_pair):
-        a, _ = sock_pair
-        with pytest.raises(ProtocolError, match="non-stream"):
-            send_message(a, Message(MessageType.INFER_REQUEST, name="m",
-                                    stream_seq=1))
-        with pytest.raises(ProtocolError, match="non-stream"):
-            send_message(a, Message(MessageType.ERROR, text="x",
-                                    stream_final=True))
+        b.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            b.recv(1)
 
     def test_stream_id_out_of_u32_range_rejected(self, sock_pair):
         a, _ = sock_pair
@@ -449,45 +298,127 @@ class TestStreamContext:
                                     tensor=np.zeros((1, 2), np.float32),
                                     stream_id=1, stream_seq=MAX_STREAM_ID + 1))
 
-    def test_error_frame_can_carry_stream_scope(self, sock_pair):
-        """A stream-scoped ERROR (dead stream, live connection) is a v4
-        ERROR frame with the stream id attached."""
-        out = roundtrip(sock_pair, Message(MessageType.ERROR,
-                                           text="unknown or closed stream 7",
-                                           stream_id=7))
-        assert out.type == MessageType.ERROR
-        assert out.stream_id == 7
-        assert out.has_stream
+    def test_unknown_stream_flags_rejected(self, sock_pair):
+        """Flag bits no ``Message`` can carry: refused on receive."""
+        a, b = sock_pair
+        a.sendall(pack_frame(Message(_T.STREAM_RESULT, stream_id=1), flags=0x80))
+        with pytest.raises(ProtocolError, match="unknown stream flags 0x80"):
+            recv_message(b)
 
-    def test_random_stream_messages_roundtrip(self, rng):
-        for _ in range(30):
-            stream_id = int(rng.integers(1, MAX_STREAM_ID + 1))
-            seq = int(rng.integers(0, MAX_STREAM_ID + 1))
-            final = bool(rng.random() < 0.3)
-            traced = bool(rng.random() < 0.5)
-            if rng.random() < 0.5:
-                shape = tuple(int(d) for d in rng.integers(1, 4, size=2))
-                msg = Message(MessageType.STREAM_CHUNK, name="m",
-                              tensor=rng.normal(size=shape).astype(np.float32),
-                              stream_id=stream_id, stream_seq=seq,
-                              stream_final=final,
-                              trace_id=int(rng.integers(1, 1 << 63)) if traced else 0)
-            else:
-                msg = Message(MessageType.STREAM_RESULT, text='{"n": 1}',
-                              stream_id=stream_id, stream_seq=seq,
-                              stream_final=final,
-                              tenant="t" if rng.random() < 0.5 else "")
-            a, b = socket.socketpair()
-            try:
-                send_message(a, msg)
-                out = recv_message(b)
-            finally:
-                a.close()
-                b.close()
-            assert (out.stream_id, out.stream_seq, out.stream_final) == \
-                (stream_id, seq, final)
-            assert out.trace_id == msg.trace_id
-            assert out.tenant == msg.tenant
+    def test_error_frame_can_carry_stream_scope(self, sock_pair):
+        """A stream-scoped ERROR (dead stream, live connection) is an ERROR
+        frame with the stream id attached."""
+        assert_roundtrips(sock_pair, Message(MessageType.ERROR, stream_id=7,
+                                             text="unknown or closed stream 7"))
+
+    def test_random_stream_messages_roundtrip(self, sock_pair, rng):
+        """Random stream frames, pipelined through one socket and one
+        FrameReader, come back in order, field for field."""
+        messages = []
+        for i in range(30):
+            payload = (dict(tensor=rng.normal(size=(1, 3)).astype(np.float32))
+                       if i % 2 else dict(text='{"n": 1}'))
+            messages.append(Message(
+                _T.STREAM_CHUNK if i % 2 else _T.STREAM_RESULT, name="asr",
+                stream_id=int(rng.integers(1, MAX_STREAM_ID + 1)),
+                stream_seq=int(rng.integers(0, MAX_STREAM_ID + 1)),
+                stream_final=bool(rng.random() < 0.3),
+                trace_id=int(rng.integers(0, 1 << 63)),
+                tenant="t" * int(rng.integers(0, 3)), **payload))
+        a, b = sock_pair
+        b.settimeout(5.0)
+        a.sendall(b"".join(encode_message(m) for m in messages))
+        reader = FrameReader(b)
+        for message in messages:
+            assert_same_message(reader.read(), message)
+
+
+#: (fields, error) for every rule tying a frame's type to its stream and
+#: app fields.
+BLOCK_RULES = {
+    **{f"{t.name.lower()}-without-id": (dict(type=t), f"{t.name} frame without a "
+       "stream id") for t in STREAM_TYPES},
+    "seq-without-id": (dict(type=_T.INFER_RESPONSE, tensor=_ROW, stream_seq=7),
+                       "seq/final set on a non-stream"),
+    "final-without-id": (dict(type=_T.APP_RESPONSE, text="x", payload_kind=KIND_TEXT,
+                              stream_final=True), "seq/final set on a non-stream"),
+    "app-without-kind": (dict(type=_T.APP_REQUEST, tensor=_ROW),
+                         "APP_REQUEST frame without a payload kind"),
+    "unknown-kind": (dict(type=_T.APP_REQUEST, text="x", payload_kind=9),
+                     "unknown payload kind 9"),
+    "app-on-stream": (dict(type=_T.STREAM_CHUNK, tensor=_ROW, stream_id=1,
+                           payload_kind=KIND_TENSOR), "app payload on a stream"),
+    "text-kind-with-dims": (dict(type=_T.APP_REQUEST, tensor=_ROW,
+                                 payload_kind=KIND_TEXT), "text payload kind with"),
+    "tensor-kind-without-dims": (dict(type=_T.APP_REQUEST, text="x",
+                                      payload_kind=KIND_TENSOR), "tensor payload kind"),
+    "u8-kind-without-dims": (dict(type=_T.APP_REQUEST, text="x",
+                                  payload_kind=KIND_U8), "tensor payload kind"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(BLOCK_RULES))
+def test_block_rule_holds_on_send_and_receive(sock_pair, rule):
+    """A receiver refuses exactly the frames its own encoder refuses, so it
+    never accepts a reply it cannot forward."""
+    fields, error = BLOCK_RULES[rule]
+    message = Message(**fields)
+    with pytest.raises(ProtocolError, match=error):
+        encode_message(message)
+    a, b = sock_pair
+    a.sendall(pack_frame(message))
+    with pytest.raises(ProtocolError, match=error):
+        recv_message(b)
+
+
+def assert_readers_refuse(pair, frame, error):
+    """``frame`` is refused by the buffered reader and the sans-IO parser."""
+    a, b = pair
+    b.settimeout(5.0)
+    a.sendall(frame)
+    for read in (FrameReader(b).read, lambda: drive_parser(frame)):
+        with pytest.raises(ProtocolError, match=error):
+            read()
+
+
+#: One message per frame kind; ``tests/golden/frames.json`` holds each one's
+#: frame in hex.  To regenerate after an *intentional* wire change, dump
+#: ``{name: encode_message(m).hex() for name, m in GOLDEN_MESSAGES.items()}``.
+GOLDEN_MESSAGES = {
+    "plain-infer": Message(_T.INFER_REQUEST, name="dig",
+                           tensor=np.float32([[0.0, 1.0, 2.0, 3.0]])),
+    "traced-infer-response": Message(
+        _T.INFER_RESPONSE, name="dig", tensor=np.float32([[0.25, -1.5, 3.0]]),
+        trace_id=0xDEADBEEFCAFEF00D, span_id=42),
+    "qos-infer-tenant": Message(
+        _T.INFER_REQUEST, name="pos", tensor=np.float32([[1.0, 2.0]]),
+        deadline_ms=2.5, priority=-1, tenant="acme"),
+    "stream-chunk": Message(_T.STREAM_CHUNK, name="asr", stream_id=5,
+                            stream_seq=2, tensor=np.float32([[0.5, 4.0]])),
+    "stream-result-final": Message(_T.STREAM_RESULT, text='{"transcript": "go"}',
+                                   stream_id=5, stream_seq=3, stream_final=True),
+    "app-request-u8": Message(
+        _T.APP_REQUEST, name="dig", payload_kind=KIND_U8, trace_id=11,
+        span_id=12, tensor=np.arange(16, dtype=np.uint8).reshape(1, 4, 4)),
+    "app-response-text": Message(_T.APP_RESPONSE, name="dig",
+                                 text='{"result": [7]}', payload_kind=KIND_TEXT),
+}
+GOLDEN_FRAMES = {name: bytes.fromhex(frame) for name, frame in json.loads(
+    (Path(__file__).parent / "golden" / "frames.json").read_text()).items()}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MESSAGES))
+class TestGoldenFrames:
+    def test_encoder_emits_the_golden_bytes(self, name):
+        assert encode_message(GOLDEN_MESSAGES[name]) == GOLDEN_FRAMES[name]
+        assert pack_frame(GOLDEN_MESSAGES[name]) == GOLDEN_FRAMES[name]
+
+    def test_every_reader_decodes_the_golden_bytes(self, sock_pair, name):
+        frame, (a, b) = GOLDEN_FRAMES[name], sock_pair
+        b.settimeout(5.0)
+        a.sendall(frame * 2)  # the one-shot read leaves the second copy
+        for out in (recv_message(b), FrameReader(b).read(), drive_parser(frame)):
+            assert_same_message(out, GOLDEN_MESSAGES[name])
 
 
 class TestErrors:
@@ -498,14 +429,16 @@ class TestErrors:
             recv_message(b)
 
     def test_bad_version(self, sock_pair):
+        """Any other version byte, retired ones included, fails at the prefix."""
         a, b = sock_pair
-        a.sendall(b"DJNN" + bytes([99, 1, 0, 0, 0]) + bytes(16))
-        with pytest.raises(ProtocolError, match="version"):
-            recv_message(b)
+        for version in (0, 1, 2, 3, 4, 5, 255):
+            a.sendall(pack_frame(Message(_T.LIST_REQUEST), version=version)[:9])
+            with pytest.raises(ProtocolError, match=f"version {version}$"):
+                recv_message(b)
 
     def test_unknown_message_type(self, sock_pair):
         a, b = sock_pair
-        a.sendall(b"DJNN" + bytes([1, 200, 0, 0, 0]) + bytes(8))
+        a.sendall(pack_frame(Message(200)))
         with pytest.raises(ProtocolError, match="unknown message type"):
             recv_message(b)
 
@@ -518,12 +451,10 @@ class TestErrors:
 
     def test_dims_body_mismatch(self, sock_pair):
         a, b = sock_pair
-        import struct
         # claims a (2, 2) tensor but ships only 4 bytes
-        frame = struct.pack("<4sBBHB", b"DJNN", 1, 2, 0, 2)
-        frame += struct.pack("<I", 2) + struct.pack("<I", 2)
-        frame += struct.pack("<Q", 4) + b"\x00" * 4
-        a.sendall(frame)
+        a.sendall(pack_frame(Message(MessageType.INFER_RESPONSE,
+                                     tensor=np.zeros((2, 2), np.float32)),
+                             body=bytes(4)))
         with pytest.raises(ProtocolError, match="imply"):
             recv_message(b)
 
@@ -543,8 +474,7 @@ class TestHeaderBounds:
     """A corrupt header must not drive huge reads — it must fail fast."""
 
     @staticmethod
-    def header(name_len=0, ndim=0, mtype=4, version=1, magic=b"DJNN"):
-        import struct
+    def header(name_len=0, ndim=0, mtype=4, version=VERSION, magic=b"DJNN"):
         return struct.pack("<4sBBHB", magic, version, mtype, name_len, ndim)
 
     def test_name_len_over_bound_rejected(self, sock_pair):
@@ -561,11 +491,9 @@ class TestHeaderBounds:
 
     def test_bounds_are_inclusive(self, sock_pair):
         """A frame right at the limits still parses (no off-by-one)."""
-        msg = Message(MessageType.INFER_REQUEST, name="x" * MAX_NAME_BYTES,
-                      tensor=np.zeros((1,) * MAX_NDIM, np.float32))
-        out = roundtrip(sock_pair, msg)
-        assert out.name == "x" * MAX_NAME_BYTES
-        assert out.tensor.shape == (1,) * MAX_NDIM
+        assert_roundtrips(sock_pair, Message(
+            MessageType.INFER_REQUEST, name="x" * MAX_NAME_BYTES,
+            tensor=np.zeros((1,) * MAX_NDIM, np.float32)))
 
     def test_send_side_rejects_oversized_name(self, sock_pair):
         a, _ = sock_pair
@@ -624,45 +552,46 @@ class TestFuzzRoundtrip:
     exactly, and *every* way of cutting a valid frame short fails typed."""
 
     def test_random_messages_roundtrip(self, rng):
-        """Random name length / rank / dims / payload, with and without the
-        v2 trace extension — what goes in comes out, field for field."""
+        """Random name / rank / dims / payload, with the trace, QoS, stream
+        and app fields each drawn independently — what goes in comes out,
+        field for field."""
         letters = np.array(list("abcdefghijklmnopqrstuvwxyz_0123456789"))
-        types = (MessageType.INFER_REQUEST, MessageType.INFER_RESPONSE,
-                 MessageType.ERROR, MessageType.LIST_RESPONSE)
-        for _ in range(40):
-            mtype = types[int(rng.integers(0, len(types)))]
-            name = "".join(rng.choice(letters,
-                                      size=int(rng.integers(0, MAX_NAME_BYTES + 1))))
-            traced = bool(rng.random() < 0.5)
-            trace_id = int(rng.integers(1, 1 << 63)) if traced else 0
-            span_id = int(rng.integers(1, 1 << 63)) if traced else 0
-            if mtype in (MessageType.INFER_REQUEST, MessageType.INFER_RESPONSE):
-                ndim = int(rng.integers(1, MAX_NDIM + 1))
-                shape = tuple(int(d) for d in rng.integers(1, 4, size=ndim))
-                tensor = rng.normal(size=shape).astype(np.float32)
-                msg = Message(mtype, name=name, tensor=tensor,
-                              trace_id=trace_id, span_id=span_id)
+
+        def word(longest):
+            return "".join(rng.choice(letters,
+                                      size=int(rng.integers(0, longest + 1))))
+
+        for _ in range(60):
+            fields = dict(name=word(MAX_NAME_BYTES))
+            if rng.random() < 0.5:
+                fields.update(trace_id=int(rng.integers(1, 1 << 63)),
+                              span_id=int(rng.integers(1, 1 << 63)))
+            if rng.random() < 0.5:
+                fields.update(deadline_ms=int(rng.integers(1, 1 << 32)) / 1e3,
+                              priority=int(rng.integers(-128, 128)),
+                              tenant=word(MAX_TENANT_BYTES))
+            kind = 0
+            if rng.random() < 0.3:
+                fields.update(stream_id=int(rng.integers(1, MAX_STREAM_ID + 1)),
+                              stream_seq=int(rng.integers(0, MAX_STREAM_ID + 1)),
+                              stream_final=bool(rng.random() < 0.3))
+            elif rng.random() < 0.5:
+                kind = (KIND_TENSOR, KIND_TEXT, KIND_U8)[int(rng.integers(0, 3))]
+            if kind in (KIND_TENSOR, KIND_U8) or (not kind and rng.random() < 0.5):
+                shape = tuple(rng.integers(1, 3, size=rng.integers(1, MAX_NDIM + 1)))
+                fields["tensor"] = (
+                    rng.integers(0, 256, size=shape, dtype=np.uint8)
+                    if kind == KIND_U8 else rng.normal(size=shape).astype(np.float32))
             else:
-                tensor = None
-                msg = Message(mtype, name=name,
-                              text="".join(rng.choice(letters,
-                                                      size=int(rng.integers(0, 64)))),
-                              trace_id=trace_id, span_id=span_id)
-            a, b = socket.socketpair()
-            try:
-                send_message(a, msg)
-                out = recv_message(b)
-            finally:
-                a.close()
-                b.close()
-            assert out.type == msg.type
-            assert out.name == msg.name
-            assert out.text == msg.text
-            assert (out.trace_id, out.span_id) == (trace_id, span_id)
-            if tensor is not None:
-                np.testing.assert_array_equal(out.tensor, tensor)
+                fields["text"] = word(64)
+            if kind:
+                mtype = _T.APP_REQUEST
+            elif "stream_id" in fields:
+                mtype = _T.STREAM_CHUNK if "tensor" in fields else _T.STREAM_RESULT
             else:
-                assert out.tensor is None
+                mtype = _T.INFER_RESPONSE if "tensor" in fields else _T.ERROR
+            msg = Message(mtype, payload_kind=kind, **fields)
+            assert_same_message(drive_parser(encode_message(msg)), msg)
 
     @pytest.mark.parametrize("message", [
         Message(MessageType.INFER_REQUEST, name="pos",
@@ -700,42 +629,25 @@ class TestFuzzRoundtrip:
             finally:
                 b.close()
 
-    def test_full_frame_still_parses_after_truncation_sweep(self):
+    def test_full_frame_still_parses_after_truncation_sweep(self, sock_pair):
         """Control for the sweep above: the untruncated frame is valid."""
-        msg = Message(MessageType.INFER_REQUEST, name="pos",
-                      tensor=np.arange(6, dtype=np.float32).reshape(2, 3))
-        a, b = socket.socketpair()
-        try:
-            a.sendall(_capture_frame(msg))
-            out = recv_message(b)
-        finally:
-            a.close()
-            b.close()
-        np.testing.assert_array_equal(out.tensor, msg.tensor)
+        assert_roundtrips(sock_pair, Message(
+            MessageType.INFER_REQUEST, name="pos",
+            tensor=np.arange(6, dtype=np.float32).reshape(2, 3)))
 
 
 class TestAppPayload:
-    """Protocol v5: APP_REQUEST/APP_RESPONSE frames with typed raw payloads."""
+    """APP_REQUEST/APP_RESPONSE frames with typed raw payloads."""
 
     def test_tensor_payload_roundtrip(self, sock_pair, rng):
         raw = rng.normal(size=(2, 3, 4)).astype(np.float32)
-        out = roundtrip(sock_pair, Message(
-            MessageType.APP_REQUEST, name="imc", tensor=raw,
-            payload_kind=KIND_TENSOR))
-        assert out.type == MessageType.APP_REQUEST
-        assert out.payload_kind == KIND_TENSOR
-        assert out.has_app
-        assert out.tensor.dtype == np.float32
-        np.testing.assert_array_equal(out.tensor, raw)
+        assert_roundtrips(sock_pair, Message(MessageType.APP_REQUEST, name="imc",
+                                             tensor=raw, payload_kind=KIND_TENSOR))
 
     def test_u8_payload_roundtrip(self, sock_pair, rng):
         raw = rng.integers(0, 256, size=(1, 28, 28)).astype(np.uint8)
-        out = roundtrip(sock_pair, Message(
-            MessageType.APP_REQUEST, name="dig", tensor=raw,
-            payload_kind=KIND_U8))
-        assert out.payload_kind == KIND_U8
-        assert out.tensor.dtype == np.uint8
-        np.testing.assert_array_equal(out.tensor, raw)
+        assert_roundtrips(sock_pair, Message(MessageType.APP_REQUEST, name="dig",
+                                             tensor=raw, payload_kind=KIND_U8))
 
     def test_u8_body_is_one_byte_per_element(self, sock_pair):
         """The whole point of KIND_U8: pixels ship 4x smaller than f32."""
@@ -749,167 +661,42 @@ class TestAppPayload:
         assert len(f32) - len(frame) == raw.size * 3
 
     def test_text_payload_roundtrip(self, sock_pair):
-        out = roundtrip(sock_pair, Message(
-            MessageType.APP_REQUEST, name="pos",
-            text="the quick brown fox", payload_kind=KIND_TEXT))
-        assert out.payload_kind == KIND_TEXT
-        assert out.tensor is None
-        assert out.text == "the quick brown fox"
+        assert_roundtrips(sock_pair, Message(
+            MessageType.APP_REQUEST, name="pos", text="the quick brown fox",
+            payload_kind=KIND_TEXT))
 
     def test_app_response_roundtrip(self, sock_pair):
-        out = roundtrip(sock_pair, Message(
-            MessageType.APP_RESPONSE, name="dig",
-            text='{"result": [7]}', payload_kind=KIND_TEXT))
-        assert out.type == MessageType.APP_RESPONSE
-        assert out.text == '{"result": [7]}'
+        assert_roundtrips(sock_pair, GOLDEN_MESSAGES["app-response-text"])
 
     def test_app_payload_rides_trace_and_qos(self, sock_pair):
-        raw = np.ones((2, 2), np.float32)
-        out = roundtrip(sock_pair, Message(
-            MessageType.APP_REQUEST, name="face", tensor=raw,
-            payload_kind=KIND_TENSOR, trace_id=7, span_id=9,
-            deadline_ms=25.0, priority=1, tenant="acme"))
-        assert (out.trace_id, out.span_id) == (7, 9)
-        assert out.deadline_ms == pytest.approx(25.0)
-        assert (out.priority, out.tenant) == (1, "acme")
-
-    def test_app_frame_without_kind_rejected_on_send(self, sock_pair):
-        a, _ = sock_pair
-        with pytest.raises(ProtocolError, match="without a payload kind"):
-            send_message(a, Message(MessageType.APP_REQUEST, name="dig",
-                                    tensor=np.zeros((1, 4), np.float32)))
-
-    def test_text_kind_with_tensor_rejected_on_send(self, sock_pair):
-        a, _ = sock_pair
-        with pytest.raises(ProtocolError, match="text payload kind"):
-            send_message(a, Message(MessageType.APP_REQUEST, name="pos",
-                                    tensor=np.zeros((1, 4), np.float32),
-                                    payload_kind=KIND_TEXT))
-
-    def test_tensor_kind_without_tensor_rejected_on_send(self, sock_pair):
-        a, _ = sock_pair
-        for kind in (KIND_TENSOR, KIND_U8):
-            with pytest.raises(ProtocolError, match="without a tensor body"):
-                send_message(a, Message(MessageType.APP_REQUEST, name="imc",
-                                        text="x", payload_kind=kind))
+        assert_roundtrips(sock_pair, Message(
+            MessageType.APP_REQUEST, name="face", tensor=np.ones((2, 2), np.float32),
+            payload_kind=KIND_TENSOR, trace_id=7, span_id=9, deadline_ms=25.0,
+            priority=1, tenant="acme"))
 
     def test_app_payload_on_stream_frame_rejected_on_send(self, sock_pair):
         a, _ = sock_pair
         with pytest.raises(ProtocolError, match="app payload on a stream"):
-            send_message(a, Message(MessageType.STREAM_CHUNK, name="asr",
-                                    tensor=np.zeros((1, 4), np.float32),
-                                    stream_id=1, payload_kind=KIND_TENSOR))
+            send_message(a, Message(_T.STREAM_RESULT, text="x", stream_id=1,
+                                    payload_kind=KIND_TEXT))
 
     def test_app_payload_on_stream_frame_rejected_on_recv(self, sock_pair):
-        """A hand-built hostile frame: stream id AND payload kind set."""
-        import struct
-        a, b = sock_pair
-        frame = struct.pack("<4sBBHB", b"DJNN", APP_VERSION,
-                            int(MessageType.STREAM_CHUNK), 3, 0)
-        frame += struct.pack("<QQ", 0, 0) + struct.pack("<IbB", 0, 0, 0)
-        frame += struct.pack("<IBI", 5, 0, 1)          # stream block
-        frame += struct.pack("<B", KIND_TENSOR)        # payload kind
-        frame += struct.pack("<Q", 0) + b"asr"
-        a.sendall(frame)
-        with pytest.raises(ProtocolError, match="app payload on a stream"):
-            recv_message(b)
-
-    def test_hand_packed_v5_frame_parses(self, sock_pair):
-        """A v5 frame built byte by byte from the documented layout."""
-        import struct
-        a, b = sock_pair
-        pixels = bytes(range(16))
-        frame = struct.pack("<4sBBHB", b"DJNN", APP_VERSION,
-                            int(MessageType.APP_REQUEST), 3, 2)
-        frame += struct.pack("<QQ", 11, 12)            # trace block
-        frame += struct.pack("<IbB", 0, 0, 0)          # qos block (zeros)
-        frame += struct.pack("<IBI", 0, 0, 0)          # stream block (zeros)
-        frame += struct.pack("<B", KIND_U8)            # payload kind
-        frame += struct.pack("<I", 4) + struct.pack("<I", 4)
-        frame += struct.pack("<Q", 16) + b"dig" + pixels
-        a.sendall(frame)
-        out = recv_message(b)
-        assert out.type == MessageType.APP_REQUEST
-        assert out.payload_kind == KIND_U8
-        assert (out.trace_id, out.span_id) == (11, 12)
-        np.testing.assert_array_equal(
-            out.tensor, np.frombuffer(pixels, np.uint8).reshape(4, 4))
-
-    def test_v5_frame_with_unknown_kind_rejected(self, sock_pair):
-        import struct
-        a, b = sock_pair
-        frame = struct.pack("<4sBBHB", b"DJNN", APP_VERSION,
-                            int(MessageType.APP_REQUEST), 3, 0)
-        frame += struct.pack("<QQ", 0, 0) + struct.pack("<IbB", 0, 0, 0)
-        frame += struct.pack("<IBI", 0, 0, 0)
-        frame += struct.pack("<B", 9)                  # bogus kind
-        frame += struct.pack("<Q", 1) + b"dig" + b"x"
-        a.sendall(frame)
-        with pytest.raises(ProtocolError, match="unknown payload kind"):
-            recv_message(b)
+        assert_readers_refuse(sock_pair, pack_frame(Message(
+            _T.STREAM_RESULT, text="x", stream_id=1, payload_kind=KIND_TEXT)),
+            "app payload on a stream")
 
     def test_u8_dims_body_mismatch_rejected(self, sock_pair):
-        import struct
         a, b = sock_pair
-        frame = struct.pack("<4sBBHB", b"DJNN", APP_VERSION,
-                            int(MessageType.APP_REQUEST), 3, 1)
-        frame += struct.pack("<QQ", 0, 0) + struct.pack("<IbB", 0, 0, 0)
-        frame += struct.pack("<IBI", 0, 0, 0)
-        frame += struct.pack("<B", KIND_U8)
-        frame += struct.pack("<I", 8)                  # dims say 8 bytes...
-        frame += struct.pack("<Q", 7) + b"dig" + bytes(7)   # ...body has 7
-        a.sendall(frame)
+        a.sendall(pack_frame(Message(MessageType.APP_REQUEST, name="dig",
+                                     tensor=np.zeros(8, np.uint8),
+                                     payload_kind=KIND_U8),
+                             body=bytes(7)))  # dims say 8 bytes, body has 7
         with pytest.raises(ProtocolError, match="imply"):
             recv_message(b)
 
-    def test_pre_v5_frames_byte_identical_under_v5(self, sock_pair):
-        """The compatibility contract: adding APP frames changed not one
-        byte of any v1-v4 frame.  Minimal-version selection keeps every
-        app-less message on its pre-v5 wire version."""
-        import struct
-        cases = [
-            (Message(MessageType.INFER_REQUEST, name="dig",
-                     tensor=np.zeros((1, 4), np.float32)), VERSION),
-            (Message(MessageType.LIST_REQUEST, trace_id=1, span_id=2),
-             TRACE_VERSION),
-            (Message(MessageType.INFER_REQUEST, name="m", deadline_ms=5.0),
-             QOS_VERSION),
-            (Message(MessageType.STREAM_OPEN, name="m", stream_id=1),
-             STREAM_VERSION),
-        ]
-        for msg, version in cases:
-            frame = _capture_frame(msg)
-            assert frame[4] == version
-            # the payload_kind byte exists only on v5 frames: a pre-v5
-            # header is exactly header+trace+qos+stream blocks, no more
-            head = struct.calcsize("<4sBBHB")
-            if version >= TRACE_VERSION:
-                head += struct.calcsize("<QQ")
-            if version >= QOS_VERSION:
-                head += struct.calcsize("<IbB")
-            if version >= STREAM_VERSION:
-                head += struct.calcsize("<IBI")
-            ndim = frame[8]
-            name_len = int.from_bytes(frame[6:8], "little")
-            body = frame[head + 4 * ndim:]
-            body_len = int.from_bytes(body[:8], "little")
-            assert len(frame) == head + 4 * ndim + 8 + name_len + body_len \
-                + (len(msg.tenant.encode()) if version >= QOS_VERSION else 0)
-
-    def test_app_frame_version_is_5(self, sock_pair):
-        frame = _capture_frame(Message(
-            MessageType.APP_REQUEST, name="pos", text="hi",
-            payload_kind=KIND_TEXT))
-        assert frame[4] == APP_VERSION
-
     def test_encode_message_matches_send_for_app_frames(self):
-        for msg in (
-            Message(MessageType.APP_REQUEST, name="dig",
-                    tensor=np.zeros((1, 28, 28), np.uint8),
-                    payload_kind=KIND_U8),
-            Message(MessageType.APP_RESPONSE, name="dig",
-                    text='{"ok": true}', payload_kind=KIND_TEXT),
-        ):
+        for name in ("app-request-u8", "app-response-text"):
+            msg = GOLDEN_MESSAGES[name]
             assert encode_message(msg) == _capture_frame(msg)
 
 
@@ -972,20 +759,8 @@ def _tensor(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape).astype(np.float32)
 
 
-#: one frame per wire version (v1 .. v5)
-VERSION_FRAMES = [
-    Message(MessageType.INFER_REQUEST, name="dig", tensor=_tensor((2, 3))),
-    Message(MessageType.INFER_RESPONSE, name="dig", tensor=_tensor((1, 10)),
-            trace_id=0xABCDEF, span_id=7),
-    Message(MessageType.INFER_REQUEST, name="pos", tensor=_tensor((3, 5)),
-            deadline_ms=12.5, priority=-2, tenant="tenant-a"),
-    Message(MessageType.STREAM_RESULT, text='{"partial": "go"}',
-            stream_id=2, stream_seq=3, stream_final=True),
-    Message(MessageType.APP_REQUEST, name="dig", payload_kind=KIND_U8,
-            tensor=np.arange(16, dtype=np.uint8).reshape(1, 4, 4),
-            trace_id=5, span_id=6, deadline_ms=3.0),
-]
-VERSION_IDS = ["v1", "v2", "v3", "v4", "v5"]
+#: one message per frame kind
+FRAME_KINDS = list(GOLDEN_MESSAGES.values())
 
 
 def _benchmark_frames():
@@ -1023,13 +798,12 @@ FIRST_READ = protocol._READ_BYTES
 
 
 class TestFrameReader:
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5], ids=VERSION_IDS)
-    def test_dribbled_frame_equals_one_shot_parse(self, sock_pair, version):
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_MESSAGES))
+    def test_dribbled_frame_equals_one_shot_parse(self, sock_pair, kind):
         """A byte at a time — every possible short read — parses the same."""
         a, b = sock_pair
-        message = VERSION_FRAMES[version - 1]
+        message = GOLDEN_MESSAGES[kind]
         frame = encode_message(message)
-        assert frame[4] == version
         b.settimeout(5.0)
         reader = FrameReader(b)
         got = []
@@ -1049,7 +823,7 @@ class TestFrameReader:
         reader that dropped its leftovers would block on the second read
         (the timeout turns that hang into a failure)."""
         a, b = sock_pair
-        messages = (VERSION_FRAMES * 2)[1:1 + count]
+        messages = FRAME_KINDS[1:1 + count]
         a.sendall(b"".join(encode_message(m) for m in messages))
         b.settimeout(2.0)
         counting = CountingSocket(b)
@@ -1060,13 +834,13 @@ class TestFrameReader:
 
     def test_leftover_partial_frame_is_completed_from_the_socket(self, sock_pair):
         a, b = sock_pair
-        first, second = (encode_message(m) for m in VERSION_FRAMES[:2])
+        first, second = (encode_message(m) for m in FRAME_KINDS[:2])
         a.sendall(first + second[:11])
         b.settimeout(2.0)
         reader = FrameReader(b)
-        assert_same_message(reader.read(), VERSION_FRAMES[0])
+        assert_same_message(reader.read(), FRAME_KINDS[0])
         a.sendall(second[11:])
-        assert_same_message(reader.read(), VERSION_FRAMES[1])
+        assert_same_message(reader.read(), FRAME_KINDS[1])
 
     @pytest.mark.parametrize("name", sorted(BENCH_FRAMES))
     def test_reads_per_buffered_frame(self, name):
@@ -1107,11 +881,11 @@ class TestFrameReader:
             assert np.shares_memory(out.tensor, np.frombuffer(base, np.uint8))
 
     def test_frames_that_must_fit_the_first_read(self):
-        """The sizes the issue names: the 848-byte DIG app frame, the
-        4 132-byte DIG tensor frame, and every benchmark response."""
+        """The 848-byte DIG app frame, the 4 164-byte DIG tensor frame, and
+        every benchmark response."""
         sizes = {name: len(encode_message(m)) for name, m in BENCH_FRAMES.items()}
-        assert sizes["dig.request"] == 4132
-        assert 840 <= sizes["dig_app.request"] <= 860
+        assert sizes["dig.request"] == 4164
+        assert sizes["dig_app.request"] == 848
         for name, size in sizes.items():
             if name.endswith("response") or name.endswith("response.longest"):
                 assert size <= FIRST_READ, name
@@ -1123,15 +897,15 @@ class TestFrameReader:
     @pytest.mark.parametrize("rows", [1, 6000])
     def test_float_tensors_are_aligned_and_read_only(self, name_len, tenant_len,
                                                      rows):
-        """Every header length (v1/v2/v3/v5, odd name and tenant lengths),
+        """Odd name and tenant lengths with every optional field set or not,
         both the buffered and the large-body path, and the sans-IO parser."""
         tensor = _tensor((rows, 3))
         variants = [
-            dict(),                                             # v1
-            dict(trace_id=1, span_id=2),                        # v2
-            dict(deadline_ms=5.0, tenant="t" * tenant_len),     # v3
+            dict(),                                             # plain
+            dict(trace_id=1, span_id=2),                        # traced
+            dict(deadline_ms=5.0, tenant="t" * tenant_len),     # QoS
             dict(payload_kind=KIND_TENSOR, tenant="t" * tenant_len,
-                 type=MessageType.APP_REQUEST),                 # v5
+                 type=MessageType.APP_REQUEST),                 # app
         ]
         for extra in variants:
             fields = dict(type=MessageType.INFER_REQUEST, name="n" * name_len,
@@ -1160,7 +934,7 @@ class TestFrameReader:
                 with pytest.raises(ValueError):
                     out.tensor[0, 0] = 1.0
 
-    @pytest.mark.parametrize("message", VERSION_FRAMES + list(BENCH_FRAMES.values()))
+    @pytest.mark.parametrize("message", FRAME_KINDS + list(BENCH_FRAMES.values()))
     def test_frame_parser_equals_frame_reader(self, sock_pair, message):
         a, b = sock_pair
         b.settimeout(5.0)
@@ -1179,9 +953,9 @@ class TestFrameReader:
         the next frame in the socket — in at most three reads."""
         a, b = sock_pair
         b.settimeout(5.0)
-        a.sendall(b"".join(encode_message(m) for m in VERSION_FRAMES))
+        a.sendall(b"".join(encode_message(m) for m in FRAME_KINDS))
         counting = CountingSocket(b)
-        for message in VERSION_FRAMES:
+        for message in FRAME_KINDS:
             before = counting.calls
             assert_same_message(recv_message(counting), message)
             assert counting.calls - before <= 3
@@ -1200,11 +974,11 @@ class TestFrameReader:
                 events.append((sock is counting, scope, counting.calls))
 
         monkeypatch.setattr(faultsite, "active", Seam())
-        a.sendall(encode_message(VERSION_FRAMES[0]) * 2)
+        a.sendall(encode_message(FRAME_KINDS[0]) * 2)
         reader = FrameReader(counting, fault_scope="probe")
         reader.read()
         reader.read()  # served from the buffer: still announced
-        a.sendall(encode_message(VERSION_FRAMES[1]))
+        a.sendall(encode_message(FRAME_KINDS[1]))
         recv_message(counting, fault_scope="client")
         assert events == [(True, "probe", 0), (True, "probe", 1),
                           (True, "client", 1)]

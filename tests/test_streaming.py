@@ -1,4 +1,4 @@
-"""Stream-lifecycle test battery: protocol-v4 sessions end-to-end.
+"""Stream-lifecycle test battery: stream-frame sessions end-to-end.
 
 Every test drives real sockets against a real :class:`DjinnServer` (and,
 for the fleet tests, a real :class:`GatewayServer` over a 2-backend
