@@ -3,7 +3,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast soak chaos trace-demo bench-engine bench-procpool bench-gateway bench-slo bench-cost bench-cache bench-smoke bench-ab bench-all
+.PHONY: test test-fast soak chaos trace-demo bench-gateway bench-smoke bench-ab bench-all
 
 test:
 	$(PY) -m pytest -x -q
@@ -41,44 +41,6 @@ trace-demo:
 		--out benchmarks/results/trace_demo.json \
 		--metrics-out benchmarks/results/trace_demo_metrics.prom --check
 
-# Planned-vs-legacy execution sweep (batch size x path) into
-# benchmarks/results/BENCH_engine.json, with the engine gates on: the
-# planned path must be allocation-free in steady state (tracemalloc) and
-# not slower than legacy at batch 1.
-bench-engine:
-	$(PY) benchmarks/bench_engine.py --check
-
-# Proc-pool vs threaded serving throughput under concurrent load, into
-# benchmarks/results/BENCH_procpool.json.  The 2x speedup gate enforces
-# only on >= 4-core hosts; smaller hosts record honest numbers with
-# gate_enforced=false.
-bench-procpool:
-	$(PY) benchmarks/bench_procpool.py --check
-
-# Open-loop SLO sweep (fixed vs adaptive vs adaptive+shedding) through the
-# gateway, into benchmarks/results/BENCH_slo.json.  The gate — adaptive
-# must beat fixed attainment at >= 1 saturated load point, with every
-# rejection typed — enforces only on >= 4-core hosts.
-bench-slo:
-	$(PY) benchmarks/bench_slo.py --check
-
-# Per-request cost-attribution sweep (model x batch x execution mode) into
-# benchmarks/results/BENCH_cost.json.  The gate requires stage shares
-# (including the honest residual) to sum to 100% in every configuration,
-# attribution coverage >= 95% (residual <= 5%), the metrics exposition to
-# survive a render -> parse round trip, and at least one tail exemplar to
-# resolve back to a full cost ledger.
-bench-cost:
-	$(PY) benchmarks/bench_cost_breakdown.py --check
-
-# Cross-layer cache sweep (dup_frac x cache size) into
-# benchmarks/results/BENCH_cache.json.  The gate requires every cached
-# answer byte-identical to the cache-off baseline, exact hits at full
-# budget, and a >= 2x hit-path speedup at dup_frac=0.5 (enforced only on
-# >= 4-core hosts; recorded honestly either way).
-bench-cache:
-	$(PY) benchmarks/bench_cache.py --check
-
 # The repository benchmark's own self-tests plus its ~20 s sanity pass
 # (one primer + one round at a tenth of the requests on all four
 # workloads; fails if a reply is wrong or if the printed metric names
@@ -110,5 +72,9 @@ bench-ab:
 bench-gateway:
 	cd benchmarks && PYTHONPATH=../src $(PY) -m pytest bench_gateway_scaling.py -x -q -p no:cacheprovider
 
+# Every figure/table script plus the djinn_bench self-tests.  One BLAS
+# thread per request, as djinn_bench runs: OpenBLAS's default of one thread
+# per vCPU makes bench_service_real's concurrent GEMMs oversubscribe the
+# cores and its 4-client row fall below half the 1-client one.
 bench-all:
-	cd benchmarks && PYTHONPATH=../src $(PY) -m pytest . -x -q -p no:cacheprovider
+	cd benchmarks && OPENBLAS_NUM_THREADS=1 PYTHONPATH=../src $(PY) -m pytest . -x -q -p no:cacheprovider

@@ -14,39 +14,18 @@ from typing import Iterable, List
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-#: multi-core perf gates only *enforce* on hosts with at least this many
-#: usable cores — below it the gated speedups are physically unavailable
-GATE_MIN_CORES = 4
-
 
 def host_cores() -> int:
-    """Usable core count, detected once per run, affinity-aware.
+    """Usable core count, affinity-aware.
 
-    ``os.cpu_count()`` reports the machine, not the process: a CI runner
-    pinned to one core of a 64-core host would read as 64 and enforce a
-    gate it cannot pass (or, inverted, a bench could claim
-    ``gate_enforced=false`` on a big host by checking the wrong number).
+    ``os.cpu_count()`` reports the machine, not the process: a runner
+    pinned to one core of a 64-core host would read as 64.
     ``sched_getaffinity`` sees the actual cpuset.
     """
     try:
         return len(os.sched_getaffinity(0)) or 1
     except (AttributeError, OSError):  # non-Linux fallback
         return os.cpu_count() or 1
-
-
-def gate_fields(min_cores: int = GATE_MIN_CORES) -> dict:
-    """The uniform host/gate stanza every bench JSON records.
-
-    ``gate_enforced`` is derived here, once, from the same core count that
-    is written to the JSON — a bench cannot record one and enforce on the
-    other.
-    """
-    cores = host_cores()
-    return {
-        "host_cores": cores,
-        "gate_min_cores": min_cores,
-        "gate_enforced": cores >= min_cores,
-    }
 
 
 def report(name: str, title: str, lines: Iterable[str]) -> str:

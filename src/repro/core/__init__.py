@@ -20,13 +20,7 @@ from .client import (
     RemoteBackend,
     StreamResult,
 )
-from .loadgen import (
-    LoadResult,
-    OpenLoopResult,
-    RequestClass,
-    run_closed_loop_load,
-    run_open_loop_load,
-)
+from .loadgen import LoadResult, run_closed_loop_load
 from .procpool import PoolLease, ProcPoolError, ProcPoolExecutor, parse_workers
 from .protocol import Message, MessageType, ProtocolError, recv_message, send_message
 from .registry import ModelRegistry
@@ -64,8 +58,5 @@ __all__ = [
     "DjinnServer",
     "ServiceStats",
     "LoadResult",
-    "OpenLoopResult",
-    "RequestClass",
     "run_closed_loop_load",
-    "run_open_loop_load",
 ]

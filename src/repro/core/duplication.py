@@ -3,15 +3,14 @@
 Production query streams repeat — the same photo re-shared, the same
 query re-issued through a different crop or encode — and batching,
 caches, and admission control all see that traffic very differently from
-fresh i.i.d. inputs.  The load generator
-(:func:`repro.core.loadgen.run_open_loop_load`) and the Tonic dataset
-generators (:func:`repro.tonic.datasets.with_duplicates`) both model it;
-this module is the single source of truth for *which* items duplicate
-*what*, so a given ``(seed, count, dup_frac)`` names exactly one
-duplicate stream no matter which surface draws it (pinned by
-``tests/test_cache.py``).
+fresh i.i.d. inputs.  The Tonic dataset generators
+(:func:`repro.tonic.datasets.with_duplicates`) and per-request streams
+(the dup-heavy soak test) both model it; this module is the single source
+of truth for *which* items duplicate *what*, so a given
+``(seed, count, dup_frac)`` names exactly one duplicate stream no matter
+which surface draws it (pinned by ``tests/test_cache.py``).
 
-Semantics (the load generator's original contract, now shared):
+Semantics:
 
 * :func:`plan_duplicates` draws one Bernoulli(``dup_frac``) per item
   ``i >= 1`` from ``default_rng(seed)``; selected items replay a source

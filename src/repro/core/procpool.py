@@ -721,10 +721,6 @@ class ProcPoolExecutor:
     def respawn_count(self) -> int:
         return int(self._respawn_total.labels().value)
 
-    def shm_bytes(self) -> int:
-        """Weight bytes resident in shared memory (one copy per host)."""
-        return self.registry.shm_bytes()
-
     def segment_names(self) -> List[str]:
         """Every shm segment this pool depends on (weights + ring)."""
         names = [entry["segment"]

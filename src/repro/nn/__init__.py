@@ -10,8 +10,7 @@ them.
 """
 
 from . import layers  # noqa: F401  (registers all layer types)
-from .engine import (ExecutionPlan, LayerCache, LayerCacheConfig,
-                     PlanError, measure_steady_state_alloc)
+from .engine import ExecutionPlan, LayerCache, LayerCacheConfig, PlanError
 from .gradcheck import check_layer_gradients, max_relative_error, numerical_gradient
 from .graph import INPUT, GraphLayerSpec, GraphNet, GraphSpec
 from .netspec import LayerSpec, NetSpec
@@ -47,6 +46,5 @@ __all__ = [
     "LayerCache",
     "LayerCacheConfig",
     "PlanError",
-    "measure_steady_state_alloc",
     "plan_footprint",
 ]

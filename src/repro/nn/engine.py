@@ -70,8 +70,7 @@ from .layers.base import Layer
 from .layers.merge import MultiInputLayer
 from .tensor import Blob
 
-__all__ = ["PlanError", "ExecutionPlan", "LayerCache", "LayerCacheConfig",
-           "measure_steady_state_alloc"]
+__all__ = ["PlanError", "ExecutionPlan", "LayerCache", "LayerCacheConfig"]
 
 #: Reserved top name for the network input (mirrors ``repro.nn.graph.INPUT``).
 INPUT = "input"
@@ -773,33 +772,3 @@ class LayerCache:
             fidelity_max=self.fidelity_max,
             probe_start=probe_start, probe_end=probe_end)
 
-
-def measure_steady_state_alloc(plan: ExecutionPlan, batches=None,
-                               iters: int = 3) -> int:
-    """Peak bytes of new Python/numpy allocation per steady-state execute.
-
-    Warms the plan (first call per batch size builds cached views), then
-    watches ``iters`` full sweeps under :mod:`tracemalloc` and reports the
-    peak traced growth.  Snapshot diffs would net alloc/free churn out to
-    zero; the *peak* is what catches a kernel that still allocates
-    per-call.  A clean plan measures a few hundred bytes of interpreter
-    noise; an allocating layer measures its buffer sizes.
-    """
-    import tracemalloc
-
-    batch_list = sorted(set(batches)) if batches else [plan.max_batch]
-    with plan.lock:
-        for n in batch_list:
-            plan.input_view(n)
-            plan.execute(n)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            for _ in range(iters):
-                for n in batch_list:
-                    plan.execute(n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    return max(0, peak - base)

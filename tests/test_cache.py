@@ -661,14 +661,14 @@ class TestDuplicationUnified:
                    for idx in range(1, 64))
 
     def test_loadgen_and_dataset_surfaces_draw_identical_streams(self):
-        """Regression pin for the unification: the load generator's
+        """Regression pin for the unification: a request stream's per-index
         input_for() composition and the dataset surface's
         apply_duplicates() must produce the same stream per seed."""
         count, dup_frac, seed, jitter = 40, 0.4, TEST_SEED, 0.01
         gen = np.random.default_rng(3)
         items = gen.standard_normal((count, 5)).astype(np.float32)
 
-        # the loadgen composition (repro.core.loadgen.run_open_loop_load)
+        # the per-request composition: plan once, jitter each replay by index
         dup_of = plan_duplicates(count, dup_frac, seed)
 
         def input_for(i):

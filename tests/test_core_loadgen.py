@@ -71,82 +71,3 @@ class TestClosedLoopLoad:
         with pytest.raises(ValueError):
             run_closed_loop_load(host, port, "pos", pos_input, clients=0)
 
-
-# ---------------------------------------------------------------- open loop
-class TestOpenLoopLoad:
-    def test_counts_and_attainment(self, server):
-        from repro.core import RequestClass, run_open_loop_load
-
-        host, port = server.address
-        result = run_open_loop_load(
-            host, port, "pos", pos_input, qps=200.0, requests=40,
-            classes=(RequestClass(name="slo", deadline_ms=5000.0),),
-            connections=8, seed=1)
-        assert result.issued == 40
-        assert result.completed == 40
-        assert result.shed == 0 and result.expired == 0 and result.errors == 0
-        # a 5 s SLO against a sub-ms model: everything attains
-        assert result.attained == 40
-        assert result.attainment == 1.0
-        assert result.per_class["slo"].attainment == 1.0
-        assert result.p99_latency_s >= result.mean_latency_s > 0.0
-
-    def test_schedule_is_seed_deterministic(self, server):
-        """Same seed → same offered arrival trace (the measurement origin),
-        regardless of how the service behaves."""
-        import random
-
-        rng_a = random.Random(7)
-        rng_b = random.Random(7)
-        trace_a = [rng_a.expovariate(100.0) for _ in range(50)]
-        trace_b = [rng_b.expovariate(100.0) for _ in range(50)]
-        assert trace_a == trace_b
-
-    def test_classes_split_by_weight_and_stamp_qos(self, server):
-        from repro.core import RequestClass, run_open_loop_load
-
-        host, port = server.address
-        classes = (
-            RequestClass(name="gold", weight=1.0, deadline_ms=5000.0,
-                         priority=5, tenant="gold"),
-            RequestClass(name="bulk", weight=3.0),
-        )
-        result = run_open_loop_load(host, port, "pos", pos_input,
-                                    qps=300.0, requests=60, classes=classes,
-                                    connections=8, seed=3)
-        assert set(result.per_class) == {"gold", "bulk"}
-        issued = {name: c.issued for name, c in result.per_class.items()}
-        assert sum(issued.values()) == 60
-        # 1:3 weights: bulk dominates (seeded draw, loose bound)
-        assert issued["bulk"] > issued["gold"]
-        # a class with no deadline attains whenever it completes
-        bulk = result.per_class["bulk"]
-        assert bulk.attained == bulk.completed
-
-    def test_expired_requests_counted_typed(self, server):
-        """Impossible deadlines come back as typed expiries, not errors."""
-        from repro.core import RequestClass, run_open_loop_load
-
-        host, port = server.address
-        result = run_open_loop_load(
-            host, port, "pos", pos_input, qps=500.0, requests=20,
-            classes=(RequestClass(name="doomed", deadline_ms=0.0001),),
-            connections=4, seed=5)
-        assert result.expired == 20
-        assert result.completed == 0 and result.errors == 0
-        assert result.attained == 0
-
-    def test_validation(self, server):
-        from repro.core import RequestClass, run_open_loop_load
-
-        host, port = server.address
-        with pytest.raises(ValueError, match="qps"):
-            run_open_loop_load(host, port, "pos", pos_input, qps=0.0)
-        with pytest.raises(ValueError, match="duplicate"):
-            run_open_loop_load(host, port, "pos", pos_input, qps=1.0,
-                               classes=(RequestClass(name="a"),
-                                        RequestClass(name="a")))
-        with pytest.raises(ValueError, match="weight"):
-            RequestClass(weight=0.0)
-        with pytest.raises(ValueError, match="deadline_ms"):
-            RequestClass(deadline_ms=-1.0)

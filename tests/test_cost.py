@@ -4,21 +4,29 @@ The ledger tests drive :func:`repro.obs.build_ledger` with hand-built span
 trees whose exclusive times are exact by construction, so every assertion
 is on a closed-form value — including the adversarial shapes (overlapping
 hedge siblings, container residuals, rootless fragments) that a naive
-per-span-duration sum gets wrong.
+per-span-duration sum gets wrong.  One test then folds the traces of real
+requests served by a live ``DjinnServer`` and asks the same of them.
 """
 
 import logging
+import statistics
 
+import numpy as np
 import pytest
 
+from repro.core import BatchPolicy, DjinnClient, DjinnServer, ModelRegistry
+from repro.models import lenet5
 from repro.obs import (
     STAGES,
     BurnRateMonitor,
     Span,
+    Tracer,
     aggregate_shares,
     build_ledger,
     build_ledgers,
     format_ledger,
+    parse_exposition,
+    render_exposition,
 )
 
 
@@ -200,6 +208,77 @@ class TestBuildLedger:
         assert "unattributed" in text
         assert "coverage" in text
         assert "slowest layers" in text
+
+
+# ------------------------------------------------------ live, served traces
+@pytest.fixture(scope="module")
+def dig_registry():
+    registry = ModelRegistry()
+    registry.register_spec("dig", lenet5(), seed=0)
+    yield registry
+    registry.close_shm()
+
+
+@pytest.mark.parametrize("batch", [1, 8])
+@pytest.mark.parametrize("workers", [None, "proc:2"],
+                         ids=["threaded", "proc:2"])
+def test_served_traces_fold_into_complete_ledgers(dig_registry, workers,
+                                                  batch):
+    """Traced DIG requests, tensor and raw-pixel APP frames alike, served
+    by a batching ``DjinnServer``: every trace folds into a ledger whose
+    stage shares plus residual sum to 1, the instrumentation explains all
+    but <= 5 % of the median tensor request, APP requests charge all of
+    their server-side Tonic preprocess to ``preprocess``, the latency
+    histogram's tail exemplars resolve back to ledgers, and the metrics
+    exposition carries the request, stage and latency families."""
+    tracer = Tracer(enabled=True)
+    gen = np.random.default_rng(batch)
+    x = gen.standard_normal((batch, 1, 32, 32)).astype(np.float32)
+    pixels = gen.integers(0, 256, size=(batch, 1, 28, 28), dtype=np.uint8)
+    server = DjinnServer(dig_registry, tracer=tracer, profile_layers=True,
+                         batching=BatchPolicy(max_batch=batch, timeout_ms=2.0),
+                         workers=workers)
+    with server, DjinnClient(*server.address, tracer=tracer) as client:
+        for _ in range(2):  # compile plans, build the app table
+            client.infer("dig", x)
+            client.infer_app("dig", pixels)
+        # the connection serves in order: a METRICS round trip means the
+        # last request's spans are closed
+        client.metrics()
+        tracer.clear()
+        for _ in range(8):
+            client.infer("dig", x)
+            client.infer_app("dig", pixels)
+        dump = client.metrics()
+    roots = {span.trace_id: span.name for span in tracer.spans()
+             if span.name in ("client.infer", "client.app")}
+    ledgers = {ledger.trace_id: ledger
+               for ledger in build_ledgers(tracer.spans())}
+    assert set(ledgers) == set(roots) and len(roots) == 16
+
+    for ledger in ledgers.values():
+        assert sum(ledger.shares().values()) == pytest.approx(1.0)
+    assert sum(aggregate_shares(list(ledgers.values())).values()) == \
+        pytest.approx(1.0)
+    tensor = [ledger for tid, ledger in ledgers.items()
+              if roots[tid] == "client.infer"]
+    app = [ledger for tid, ledger in ledgers.items()
+           if roots[tid] == "client.app"]
+    residual = statistics.median(l.residual_s / l.wall_s for l in tensor)
+    assert residual <= 0.05, f"median unattributed share {residual:.1%}"
+    for ledger in app:  # the Tonic kernel's own span, charged in full
+        kernel_s = sum(span.end_s - span.start_s
+                       for span in tracer.spans(ledger.trace_id)
+                       if span.name == "app.preprocess")
+        assert 0.0 < kernel_s <= ledger.stages["preprocess"] + 1e-9
+
+    (sample,) = dump["metrics"]["djinn_request_latency_seconds"]["samples"]
+    resolved = [build_ledger(tracer.spans(int(label, 16)))
+                for _, label in sample["exemplars"]]
+    assert any(ledger is not None for ledger in resolved)
+    assert {"djinn_requests_total", "djinn_stage_seconds_total",
+            "djinn_request_latency_seconds_bucket"} <= \
+        set(parse_exposition(render_exposition(dump)))
 
 
 class TestBurnRateMonitor:

@@ -4,6 +4,7 @@ executor copy-free.
 """
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from repro.nn import (
     GraphSpec,
     Net,
     PlanError,
-    measure_steady_state_alloc,
     plan_footprint,
 )
 from repro.models import lenet5
@@ -209,6 +209,32 @@ class TestPlanLayout:
 
 
 # ------------------------------------------------------------- allocation
+def measure_steady_state_alloc(plan, batches, iters=3):
+    """Peak bytes of new Python/numpy allocation per steady-state execute.
+
+    Warms the plan (first call per batch size builds cached views), then
+    watches ``iters`` full sweeps under :mod:`tracemalloc`.  Snapshot diffs
+    would net alloc/free churn out to zero; the *peak* is what catches a
+    kernel that still allocates per call.
+    """
+    batches = sorted(set(batches))
+    with plan.lock:
+        for n in batches:
+            plan.input_view(n)
+            plan.execute(n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in range(iters):
+                for n in batches:
+                    plan.execute(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return max(0, peak - base)
+
+
 class TestSteadyStateAllocation:
     def test_dig_plan_is_allocation_free(self):
         net = build_net("dig", materialize=True)

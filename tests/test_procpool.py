@@ -388,7 +388,8 @@ class TestShmLifecycle:
         param_bytes = zoo_registry.total_param_bytes()
         blob_count = sum(len(shmseg.net_blobs(zoo_registry.get(app)))
                          for app in zoo_registry.names())
-        assert param_bytes <= pool.shm_bytes() <= param_bytes + 64 * blob_count
+        shm_bytes = zoo_registry.shm_bytes()
+        assert param_bytes <= shm_bytes <= param_bytes + 64 * blob_count
 
 
 # ---------------------------------------------------------------- metrics
