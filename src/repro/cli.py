@@ -8,8 +8,8 @@ Commands
 ``djinn serve [--models dig,pos,...] [--port N] [--batch N --timeout-ms T]
 [--workers proc:N]``
     Start a DjiNN server with seeded models and block until Ctrl-C.
-    ``--workers proc:N`` executes forwards in N shared-memory worker
-    processes (weights mapped read-only, one physical copy).
+    ``--workers proc:N`` executes forwards in N forked worker processes
+    (weights inherited read-only, one physical copy).
 ``djinn query --host H --port P --app dig``
     Run one Tonic query against a live server and print the result.
 ``djinn stream --host H --port P [--model asr] [--chunks K] [--words a,b]``
@@ -130,7 +130,7 @@ def cmd_serve(args) -> int:
     if args.sched:
         mode += f", {args.sched} sched"
     if args.workers:
-        mode += f", {args.workers} shm workers"
+        mode += f", {args.workers} workers"
     if layer_cache is not None:
         mode += f", layer cache {layer_cache.max_entries} entries"
     print(f"DjiNN serving {registry.names()} on {host}:{port} "
@@ -753,7 +753,7 @@ def main(argv=None) -> int:
                             "expiry; 'adaptive' also sizes batches to fit "
                             "deadlines)")
     serve.add_argument("--workers", default="",
-                       help="execute forwards in a shared-memory process pool "
+                       help="execute forwards in a forked process pool "
                             "(e.g. proc:4)")
     serve.add_argument("--layer-cache", type=int, default=0, metavar="N",
                        help="arm the engine layer cache with an LRU of N "
@@ -831,7 +831,7 @@ def main(argv=None) -> int:
                          help="hedge slow requests to a second backend after "
                               "this delay (-1 = derive from latency model)")
     gateway.add_argument("--workers", default="",
-                         help="give each backend a shared-memory process pool "
+                         help="give each backend a forked process pool "
                               "(e.g. proc:2)")
     gateway.add_argument("--cache-mb", type=float, default=0.0,
                          help="gateway response-cache budget in MiB "

@@ -1,4 +1,4 @@
-"""Process-based worker pool over shared-memory weights and slots.
+"""Process-based worker pool over inherited weights and a shared slot ring.
 
 Paper §3: the DjiNN server scales one model across many GPU SMs from a
 single resident copy of the weights.  The CPU analogue is processes, not
@@ -7,14 +7,14 @@ cannot use more than ~1 core outside BLAS.  :class:`ProcPoolExecutor`
 gives one replica true core-level parallelism while keeping the paper's
 "load once, share read-only" memory story:
 
-* the parent exports every registry model into
-  ``multiprocessing.shared_memory`` via :meth:`ModelRegistry.export_shm`
-  and forks N workers; each worker attaches the manifest and binds
-  ``writeable=False`` ndarray views — one physical copy of the weights
-  per host, enforced by the MMU (a worker writing a weight gets
-  ``ValueError`` from numpy before it could get anywhere near a page
-  fault);
-* requests travel through a shm **slot ring**: the parent copies payloads
+* the parent marks every registry weight array ``writeable=False`` and
+  forks N workers, which serve the very nets they inherit: the kernel
+  shares the weight pages copy-on-write and nothing writes them, so there
+  is one physical copy of the weights per host.  The guard is numpy's
+  flag — a write through a weight array raises ``ValueError`` in the
+  parent and in every worker — over pages that stay mapped read-write;
+* requests travel through a **slot ring**, one anonymous shared ``mmap``
+  the workers inherit along with the weights: the parent copies payloads
   straight into a slot's input region, the worker runs an arena-backed
   :class:`~repro.nn.engine.ExecutionPlan` forward with
   :meth:`~repro.nn.engine.ExecutionPlan.run_into` targeting the slot's
@@ -22,15 +22,16 @@ gives one replica true core-level parallelism while keeping the paper's
   view (:class:`PoolLease`) — no pickling, no sockets, no output copy in
   the parent;
 * each worker owns *private* arena slabs (activations are written every
-  forward) but maps the shared weights — exactly the paper's split of
+  forward) but shares the weight pages — exactly the paper's split of
   mutable scratch vs. immutable model state;
 * a supervisor thread reaps dead workers, requeues the slot a dead worker
   was running (so a mid-batch crash loses nothing), and respawns a
-  replacement with the same worker index;
+  replacement with the same worker index, forked from the same parent
+  and so over the same pages; a worker whose parent dies exits too;
 * workers publish their :class:`~repro.obs.MetricsRegistry` dumps into
-  seqlock'd shm regions; :meth:`worker_metric_dumps` feeds them to the
-  existing :func:`repro.obs.merge_dumps` path, so fleet metrics include
-  per-process counters for free;
+  seqlock'd regions of the ring; :meth:`worker_metric_dumps` feeds them to
+  the existing :func:`repro.obs.merge_dumps` path, so fleet metrics
+  include per-process counters for free;
 * the :mod:`repro.core.faultsite` seam stays live inside workers: a
   :class:`~repro.faults.FaultPlan` handed to the pool is re-armed in each
   worker with a seed derived from the worker index, and the parent-side
@@ -52,20 +53,20 @@ Slot header layout (little-endian, 64-byte aligned regions)::
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
 import queue
 import struct
 import threading
 import time
-from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.engine import ExecutionPlan, PlanError
+from ..nn.engine import ExecutionPlan, align64
 from ..obs.metrics import MetricsRegistry, read_dump_region, write_dump_region
-from . import faultsite, shm as shmseg
+from . import faultsite
 from .registry import ModelRegistry
 
 __all__ = ["ProcPoolExecutor", "ProcPoolError", "PoolLease", "parse_workers"]
@@ -187,7 +188,7 @@ class _Waiter:
 class PoolLease:
     """A served batch pinned in its response slot until released.
 
-    :attr:`outputs` is a read-only ndarray view over the shm ring; call
+    :attr:`outputs` is a read-only ndarray view over the slot ring; call
     :meth:`release` (or use as a context manager) to hand the slot back.
     Mirrors :class:`repro.core.batching.ResultLease` so the server's
     serialize-from-the-lease path works unchanged.
@@ -233,10 +234,30 @@ def _derive_worker_plan(plan_dict: dict, index: int):
     )
 
 
-def _worker_main(index: int, manifest: dict, ring_name: str, layout: dict,
+def _exit_with_parent() -> None:
+    """Exit this worker as soon as its parent dies.
+
+    A SIGKILLed parent never sends the stop sentinel, and every worker
+    holds the work queue's write end, so a worker blocked in
+    ``work_q.get()`` would otherwise wait forever.
+    """
+    def watch() -> None:
+        multiprocessing.parent_process().join()
+        os._exit(1)
+
+    threading.Thread(target=watch, name="procpool-parent-watch",
+                     daemon=True).start()
+
+
+def _worker_main(index: int, nets: dict, ring: memoryview, layout: dict,
                  work_q, resp_q, plan_dict: Optional[dict]) -> None:
-    """Worker process entry point: attach, then serve slots until sentinel."""
+    """Worker process entry point: serve slots until sentinel.
+
+    ``nets`` and ``ring`` are the parent's own objects, inherited through
+    ``fork``: the weight pages and the ring are shared, not copied.
+    """
     try:
+        _exit_with_parent()
         # A forked worker inherits whatever injector the parent had armed;
         # that one belongs to the parent's ordinal space.  Replace it with a
         # worker-seeded derivation so chaos stays deterministic per worker.
@@ -246,9 +267,7 @@ def _worker_main(index: int, manifest: dict, ring_name: str, layout: dict,
 
             faultsite.install(FaultInjector(_derive_worker_plan(plan_dict, index)))
 
-        registry = ModelRegistry.attach_shm(manifest)
-        ring = shmseg.attach_segment(ring_name)
-        _worker_loop(index, registry, ring, layout, work_q, resp_q)
+        _worker_loop(index, nets, ring, layout, work_q, resp_q)
     except KeyboardInterrupt:
         pass
     except BaseException:  # pragma: no cover - init failures surface via respawn cap
@@ -258,13 +277,11 @@ def _worker_main(index: int, manifest: dict, ring_name: str, layout: dict,
         os._exit(1)
 
 
-def _worker_loop(index: int, registry: ModelRegistry, ring, layout: dict,
+def _worker_loop(index: int, nets: dict, buf: memoryview, layout: dict,
                  work_q, resp_q) -> None:
-    buf = ring.buf
     models: List[dict] = layout["models"]
     max_batch: int = layout["max_batch"]
-    nets = {meta["name"]: registry.get(meta["name"]) for meta in models}
-    plans: Dict[str, Optional[ExecutionPlan]] = {}
+    plans: Dict[str, ExecutionPlan] = {}
     apps: Dict[str, object] = {}  # lazily built per model for FLAG_RAW slots
     metrics = MetricsRegistry()
     served = metrics.counter(
@@ -318,17 +335,10 @@ def _worker_loop(index: int, registry: ModelRegistry, ring, layout: dict,
                 x, _counts = app.preprocess_batch(
                     [x[i] for i in range(rows)])
                 x = np.ascontiguousarray(x, dtype=np.float32)
-            if name not in plans:
-                net = nets[name]
-                try:
-                    plans[name] = ExecutionPlan(net, max_batch)
-                except PlanError:
-                    plans[name] = None  # un-plannable: legacy forward below
-            plan = plans[name]
-            if plan is not None:
-                plan.run_into(x, out)
-            else:
-                np.copyto(out, nets[name].forward(x))
+            plan = plans.get(name)
+            if plan is None:
+                plan = plans[name] = ExecutionPlan(nets[name], max_batch)
+            plan.run_into(x, out)
             elapsed = time.monotonic() - start
             served.labels(model=name, worker=str(index)).inc()
             forward_s.labels(model=name, worker=str(index)).observe(elapsed)
@@ -345,7 +355,7 @@ def _worker_loop(index: int, registry: ModelRegistry, ring, layout: dict,
 
 # -------------------------------------------------------------- parent side
 class ProcPoolExecutor:
-    """Drop-in executor running forwards in N shared-memory worker processes.
+    """Drop-in executor running forwards in N forked worker processes.
 
     The submit surface mirrors :class:`repro.core.BatchingExecutor`:
     :meth:`submit` (copying), :meth:`submit_lease` (copy-free view), plus
@@ -364,8 +374,7 @@ class ProcPoolExecutor:
     def __init__(self, registry: ModelRegistry, workers: int = 2, *,
                  max_batch: int = 16, slots: Optional[int] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 tracer=None, clock=time.monotonic,
-                 fault_plan=None, start_method: Optional[str] = None):
+                 tracer=None, clock=time.monotonic, fault_plan=None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if max_batch < 1:
@@ -390,22 +399,24 @@ class ProcPoolExecutor:
         self._workers_gauge = self.metrics.gauge(
             "djinn_proc_workers", "Live pool worker processes")
 
-        #: weights: exported once per registry, shared by every pool/worker
-        self.manifest = registry.export_shm()
-        self._models = [
-            _ModelMeta(name, registry.get(name).input_shape,
-                       registry.get(name).output_shape)
-            for name in names
-        ]
+        # weights: the registry's own nets, inherited by every forked worker.
+        # Read-only from here on, in the parent too: a parent write after
+        # the fork would make parent- and worker-served answers differ.
+        self._nets = {name: registry.get(name) for name in names}
+        for net in self._nets.values():
+            for blob in net.params():
+                blob.require_data().flags.writeable = False
+        self._models = [_ModelMeta(name, net.input_shape, net.output_shape)
+                        for name, net in self._nets.items()]
         self._model_index = {meta.name: i for i, meta in enumerate(self._models)}
 
         slot_count = slots if slots is not None else max(workers + 2, 4)
         # the input region must hold either a preprocessed batch or a raw
         # app-payload batch, whichever is larger for any model
-        in_cap = shmseg.align64(
+        in_cap = align64(
             max(max(m.in_sample, m.raw_sample) for m in self._models)
             * max_batch)
-        out_cap = shmseg.align64(max(m.out_sample for m in self._models) * max_batch)
+        out_cap = align64(max(m.out_sample for m in self._models) * max_batch)
         self._in_off = HEADER_BYTES
         self._out_off = HEADER_BYTES + in_cap
         stride = HEADER_BYTES + in_cap + out_cap
@@ -427,22 +438,20 @@ class ProcPoolExecutor:
             ],
         }
         ring_bytes = slot_count * stride + workers * METRICS_REGION_BYTES
-        self._ring = shared_memory.SharedMemory(create=True, size=ring_bytes)
+        # anonymous and shared: forked workers inherit the mapping, and it
+        # has no name that could outlive the processes using it
+        self._ring = memoryview(mmap.mmap(-1, ring_bytes))
 
         self._lock = threading.Lock()
         self._seq = 0
         self._closed = False
         self._stopping = threading.Event()
-        self._unlinked = False
         self._waiters: Dict[int, _Waiter] = {}
         self._free: "queue.Queue[int]" = queue.Queue()
         for slot in range(slot_count):
             self._free.put(slot)
 
-        if start_method is None:
-            start_method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
-                            else "spawn")
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context("fork")
         self._work_q = self._ctx.Queue()
         self._resp_q = self._ctx.Queue()
         self._plan_dict = fault_plan.to_dict() if fault_plan is not None else None
@@ -463,7 +472,7 @@ class ProcPoolExecutor:
     def _spawn(self, index: int):
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(index, self.manifest, self._ring.name, self._layout,
+            args=(index, self._nets, self._ring, self._layout,
                   self._work_q, self._resp_q, self._plan_dict),
             name=f"djinn-proc-{index}",
             daemon=True,
@@ -472,7 +481,7 @@ class ProcPoolExecutor:
         return proc
 
     def close(self) -> None:
-        """Stop workers and release the ring segment (idempotent)."""
+        """Stop workers and fail any still-blocked submitters (idempotent)."""
         with self._lock:
             if self._closed:
                 return
@@ -499,10 +508,6 @@ class ProcPoolExecutor:
         for q in (self._work_q, self._resp_q):
             q.close()
             q.cancel_join_thread()
-        with self._lock:
-            if not self._unlinked:
-                self._unlinked = True
-                shmseg.unlink_segment(self._ring)
         self._workers_gauge.labels().set(0)
 
     def __enter__(self) -> "ProcPoolExecutor":
@@ -565,7 +570,7 @@ class ProcPoolExecutor:
                 f"batch of {rows} rows exceeds pool envelope {self.max_batch}")
 
         # the forward span starts here: slot acquisition and the copy into
-        # the shm slot are the cost of issuing this batch to the executor
+        # the slot are the cost of issuing this batch to the executor
         start = self.clock()
         try:
             slot = self._free.get(timeout=self.SLOT_TIMEOUT_S)
@@ -574,7 +579,7 @@ class ProcPoolExecutor:
                 f"no free response slot after {self.SLOT_TIMEOUT_S}s "
                 f"({self._layout['slots']} slots)") from None
         base = self._layout["slots_off"] + slot * self._layout["stride"]
-        buf = self._ring.buf
+        buf = self._ring
         inp = np.ndarray((rows,) + sample_shape, dtype=np.float32,
                          buffer=buf, offset=base + self._in_off)
         row = 0
@@ -636,7 +641,7 @@ class ProcPoolExecutor:
         if self._closed:
             return
         base = self._layout["slots_off"] + slot * self._layout["stride"]
-        _pack_header(self._ring.buf, base, 0, STATE_FREE, 0, 0, 0, NO_WORKER)
+        _pack_header(self._ring, base, 0, STATE_FREE, 0, 0, 0, NO_WORKER)
         self._free.put(slot)
 
     # --------------------------------------------------------- background
@@ -690,7 +695,7 @@ class ProcPoolExecutor:
         slot already DONE/ERROR whose response message died with the worker
         just needs its waiter signalled.
         """
-        buf = self._ring.buf
+        buf = self._ring
         for slot in range(self._layout["slots"]):
             base = self._layout["slots_off"] + slot * self._layout["stride"]
             seq, state, model, rows, flags, worker = _unpack_header(buf, base)
@@ -706,11 +711,11 @@ class ProcPoolExecutor:
 
     # ------------------------------------------------------------- reports
     def worker_metric_dumps(self) -> List[dict]:
-        """Per-worker metrics dumps read from the seqlock'd shm regions."""
+        """Per-worker metrics dumps read from the seqlock'd ring regions."""
         if self._closed:
             return []
         dumps = []
-        buf = self._ring.buf
+        buf = self._ring
         for i in range(self.workers):
             off = self._layout["metrics_off"] + i * self._layout["metrics_size"]
             dump = read_dump_region(buf[off:off + self._layout["metrics_size"]])
@@ -720,10 +725,3 @@ class ProcPoolExecutor:
 
     def respawn_count(self) -> int:
         return int(self._respawn_total.labels().value)
-
-    def segment_names(self) -> List[str]:
-        """Every shm segment this pool depends on (weights + ring)."""
-        names = [entry["segment"]
-                 for entry in self.manifest["models"].values()]
-        names.append(self._ring.name)
-        return names

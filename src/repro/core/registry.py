@@ -20,13 +20,11 @@ one arena instead of compiling per exact size.  Unlike the net, a plan is
 
 from __future__ import annotations
 
-import atexit
 import threading
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
 from ..nn.netspec import NetSpec
 from ..nn.network import Net
-from . import shm as shmseg
 
 __all__ = ["ModelRegistry"]
 
@@ -41,12 +39,6 @@ class ModelRegistry:
         #: slow plan compiles (FACE arenas) never block model lookups
         self._plans: Dict[tuple, object] = {}
         self._plan_lock = threading.Lock()
-        #: model name -> owned SharedMemory / manifest entry (export side)
-        self._shm_segments: Dict[str, object] = {}
-        self._shm_entries: Dict[str, dict] = {}
-        #: segments this registry merely attached to (worker side)
-        self._shm_attached: List[object] = []
-        self._shm_atexit = False
 
     def register(self, name: str, net: Net) -> None:
         """Register a materialized net under ``name``."""
@@ -109,75 +101,3 @@ class ModelRegistry:
         """Resident model memory — what the paper keeps pinned in GPU DRAM."""
         with self._lock:
             return sum(net.param_bytes() for net in self._models.values())
-
-    # ------------------------------------------------- shared-memory export
-    def export_shm(self) -> Dict[str, object]:
-        """Publish every registered model's weights into shared memory.
-
-        Idempotent: models already exported keep their segment, so a second
-        pool over the same registry re-uses the same physical pages — each
-        model is mapped exactly once per host no matter how many pools or
-        workers front it.  The parent's own blobs are rebound to read-only
-        views over the segments, so the heap copies are released.
-
-        Returns a JSON-able manifest ``{"version": 1, "models": {...}}``
-        suitable for :meth:`attach_shm` in another process.
-        """
-        with self._lock:
-            for name, net in self._models.items():
-                if name in self._shm_entries:
-                    continue
-                segment, entry = shmseg.export_net(name, net)
-                self._shm_segments[name] = segment
-                self._shm_entries[name] = entry
-            if self._shm_segments and not self._shm_atexit:
-                # Safety net for CLI/abnormal paths; close_shm is idempotent
-                # so an explicit earlier teardown makes this a no-op.
-                atexit.register(self.close_shm)
-                self._shm_atexit = True
-            return {"version": 1, "models": dict(self._shm_entries)}
-
-    @classmethod
-    def attach_shm(cls, manifest: Dict[str, object]) -> "ModelRegistry":
-        """Build a registry whose nets read weights from shm segments.
-
-        The worker-process half of :meth:`export_shm`: nets are rebuilt
-        shape-only from the manifest specs and their blobs bound to
-        ``writeable=False`` views — attempted weight writes raise
-        ``ValueError``, and no weight bytes are copied.
-        """
-        registry = cls()
-        for name, entry in manifest["models"].items():
-            net, segment = shmseg.attach_net(entry)
-            registry.register(name, net)
-            registry._shm_attached.append(segment)
-        return registry
-
-    def shm_manifest(self) -> Optional[Dict[str, object]]:
-        """The current manifest, or None if nothing has been exported."""
-        with self._lock:
-            if not self._shm_entries:
-                return None
-            return {"version": 1, "models": dict(self._shm_entries)}
-
-    def shm_bytes(self) -> int:
-        """Total shared-memory payload bytes across exported segments."""
-        with self._lock:
-            return sum(entry["bytes"] for entry in self._shm_entries.values())
-
-    def close_shm(self) -> None:
-        """Release shm: unlink owned segments (once), close attached ones.
-
-        Safe to call repeatedly and from atexit; nets keep working while
-        their mappings are alive even after the names are unlinked.
-        """
-        with self._lock:
-            owned = list(self._shm_segments.values())
-            attached = list(self._shm_attached)
-            self._shm_segments.clear()
-            self._shm_entries.clear()
-            self._shm_attached.clear()
-        for segment in owned:
-            shmseg.unlink_segment(segment)
-        for segment in attached:
-            shmseg.close_segment(segment)

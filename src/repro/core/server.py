@@ -365,7 +365,7 @@ class DjinnServer(TcpServiceBase):
         Off by default; untraced/unprofiled requests run the original loop.
     workers:
         Optional process-pool spec (``"proc:N"`` or an int N).  When set,
-        forwards execute in N worker *processes* over shared-memory weights
+        forwards execute in N forked worker *processes* over shared weights
         (:class:`repro.core.procpool.ProcPoolExecutor`): with ``batching``
         the pool runs each assembled batch, without it each request goes
         straight to a pool slot.  ``None``/``0`` keeps the threaded paths.

@@ -432,7 +432,7 @@ class ChaosHarness:
         (the background prober is parked at a huge interval), so
         ``health.probe`` flap schedules line up run to run.
     workers:
-        ``"proc:N"`` makes every backend front a shared-memory process
+        ``"proc:N"`` makes every backend front a forked process
         pool; the plan is then *also* armed inside each worker (with a
         per-worker derived seed), so worker-side sites like
         ``proc.dispatch`` and ``batch.execute`` fire in the fleet's

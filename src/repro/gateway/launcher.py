@@ -39,9 +39,9 @@ class ClusterLauncher:
         per-layer span capture for traced requests).
     workers, worker_fault_plan:
         Forwarded to every :class:`DjinnServer`; ``workers="proc:N"`` makes
-        each backend front its own shared-memory process pool.  With a
-        shared registry the weight segments are exported once and mapped by
-        every backend's workers — still one physical copy per host.
+        each backend front its own forked process pool.  With a shared
+        registry every backend's workers inherit the same weight pages —
+        still one physical copy per host.
     layer_cache:
         Optional :class:`repro.nn.engine.LayerCacheConfig` forwarded to
         every backend, arming the engine-level activation cache (requires

@@ -14,7 +14,7 @@ from .engine import ExecutionPlan, LayerCache, LayerCacheConfig, PlanError
 from .gradcheck import check_layer_gradients, max_relative_error, numerical_gradient
 from .graph import INPUT, GraphLayerSpec, GraphNet, GraphSpec
 from .netspec import LayerSpec, NetSpec
-from .network import Net
+from .network import Net, weight_digest
 from .serialize import load_net, save_net
 from .tensor import FLOAT_BYTES, Blob
 from .train import SgdSolver, TrainLog, accuracy
@@ -25,6 +25,7 @@ __all__ = [
     "LayerSpec",
     "NetSpec",
     "Net",
+    "weight_digest",
     "Blob",
     "FLOAT_BYTES",
     "SgdSolver",

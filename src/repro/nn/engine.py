@@ -43,8 +43,8 @@ planned path emits the exact span taxonomy of the legacy loop.
 Bound kernels hold the weight arrays they were bound over.  Any
 ``Blob.data`` rebind bumps ``Blob.rebinds``; the plan compares it once per
 execute and re-binds every view when it moved, so new weights are served at
-once and the old arrays are released: no stale answers, and no heap copy
-pinned after a shared-memory export.
+once and the old arrays are released: no stale answers, and no replaced
+weight array kept alive by a kernel.
 
 Because both paths run the same bound kernels, planned output is
 byte-identical to the allocating ``forward`` — the equivalence suite in
@@ -85,7 +85,8 @@ class PlanError(RuntimeError):
     """A net cannot be compiled or a plan is used outside its envelope."""
 
 
-def _align(nbytes: int) -> int:
+def align64(nbytes: int) -> int:
+    """Round ``nbytes`` up to the next :data:`ALIGN` boundary."""
     return (nbytes + ALIGN - 1) & ~(ALIGN - 1)
 
 
@@ -261,7 +262,7 @@ class ExecutionPlan:
         live: List[Tuple[int, int, int]] = []  # (offset, end, slot)
 
         def place(slot: int) -> None:
-            size = _align(self._slot_bytes[slot] * max_batch)
+            size = align64(self._slot_bytes[slot] * max_batch)
             candidates = sorted({0, *(end for _, end, _ in live)})
             for off in candidates:
                 if all(off + size <= o or off >= e for o, e, _ in live):
@@ -283,7 +284,7 @@ class ExecutionPlan:
             release(i)
         self._slot_offsets = [off if off is not None else 0 for off in offsets]
         self.arena_bytes = max(
-            (self._slot_offsets[s] + _align(self._slot_bytes[s] * max_batch)
+            (self._slot_offsets[s] + align64(self._slot_bytes[s] * max_batch)
              for s in range(len(self._slot_bytes))),
             default=0,
         )
@@ -292,16 +293,16 @@ class ExecutionPlan:
     def _scratch_total(step: _Step, batch: int) -> int:
         total = 0
         for shape, dtype in step.layer.plan_scratch(batch).values():
-            total += _align(int(np.prod(shape)) * np.dtype(dtype).itemsize)
+            total += align64(int(np.prod(shape)) * np.dtype(dtype).itemsize)
         return total
 
     # ------------------------------------------------------------- binding
     def _views_for(self, n: int) -> _Views:
         rebinds = Blob.rebinds
         if rebinds != self._bound_rebinds:
-            # a weight array was swapped (shm export, shared or loaded
-            # weights): kernels bound over the old arrays would answer with
-            # them and keep them alive, so every view re-binds
+            # a weight array was swapped (shared or loaded weights):
+            # kernels bound over the old arrays would answer with them and
+            # keep them alive, so every view re-binds
             self._view_cache.clear()
             self._bound_rebinds = rebinds
         views = self._view_cache.get(n)
@@ -327,7 +328,7 @@ class ExecutionPlan:
                 nbytes = int(np.prod(shape)) * dtype.itemsize
                 scratch[key] = (
                     self._scratch[off:off + nbytes].view(dtype).reshape(shape))
-                off += _align(nbytes)
+                off += align64(nbytes)
             layer = step.layer
             if step.alias:
                 kernels.append((layer, _skip))

@@ -7,6 +7,7 @@ paper) happens in :mod:`repro.tonic`, matching the paper's structure.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -15,7 +16,15 @@ from .layers.base import Layer, ShapeError
 from .netspec import NetSpec
 from .tensor import Blob
 
-__all__ = ["Net"]
+__all__ = ["Net", "weight_digest"]
+
+
+def weight_digest(net) -> str:
+    """SHA-256 over every weight byte of a Net or GraphNet, in layer order."""
+    digest = hashlib.sha256()
+    for blob in net.params():
+        digest.update(np.ascontiguousarray(blob.require_data()).tobytes())
+    return digest.hexdigest()
 
 
 class Net:

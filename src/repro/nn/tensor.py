@@ -36,7 +36,7 @@ class Blob:
     """
 
     #: Weights generation: bumped by every ``data`` rebind (materialize,
-    #: weight sharing, shm export, archive load).  Execution plans bind their
+    #: weight sharing, archive load).  Execution plans bind their
     #: kernels over the weight arrays themselves, compare this once per
     #: execute, and re-bind when it moved (:mod:`repro.nn.engine`).
     rebinds = 0

@@ -220,8 +220,7 @@ class TestPoolRawDispatch:
         reg = ModelRegistry()
         reg.register_spec("dig", lenet5(), seed=0)
         reg.register_spec("pos", senna("pos"), seed=1)
-        yield reg
-        reg.close_shm()
+        return reg
 
     @pytest.fixture(scope="class")
     def pool(self, pool_registry):

@@ -36,8 +36,7 @@ MODEL = "dig"
 def registry():
     reg = ModelRegistry()
     reg.register_spec(MODEL, lenet5(), seed=0)
-    yield reg
-    reg.close_shm()
+    return reg
 
 
 @pytest.fixture(scope="module")

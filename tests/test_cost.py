@@ -215,8 +215,7 @@ class TestBuildLedger:
 def dig_registry():
     registry = ModelRegistry()
     registry.register_spec("dig", lenet5(), seed=0)
-    yield registry
-    registry.close_shm()
+    return registry
 
 
 @pytest.mark.parametrize("batch", [1, 8])

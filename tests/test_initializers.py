@@ -13,9 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.shm import weight_digest
 from repro.models.registry import APPLICATIONS, build_net
-from repro.nn import initializers
+from repro.nn import initializers, weight_digest
 from repro.nn.initializers import constant, gaussian, get_filler, uniform, xavier
 
 #: SHA-256 of every zoo model's seed-0 weights, recorded when the fillers

@@ -1,4 +1,4 @@
-"""Shared-memory process-pool serving: correctness, faults, and lifecycle.
+"""Process-pool serving: correctness, faults, and lifecycle.
 
 The battery proves the three claims :mod:`repro.core.procpool` makes:
 
@@ -7,14 +7,14 @@ The battery proves the three claims :mod:`repro.core.procpool` makes:
   input, and still matches the checked-in golden digests
   (``tests/golden/model_outputs.json``), so process hand-off adds exactly
   zero numeric drift;
-* **isolation + recovery** — weights map read-only in workers (numpy
-  ``ValueError`` on write, enforced by the MMU), a worker killed mid-batch
-  is reaped and its in-flight slot requeued with nothing lost, and
-  worker-side injected faults surface in the parent as the same typed
-  exceptions the threaded executor raises;
-* **lifecycle hygiene** — segments are unlinked exactly once by their
-  creator, double-close is a no-op everywhere, and repeated pool
-  start/stop cycles leave ``/dev/shm`` exactly as they found it.
+* **one copy, isolation + recovery** — workers serve the weight pages they
+  inherit, shared with the parent rather than copied; a write through a
+  weight array raises numpy's ``ValueError`` in parent and workers alike;
+  a worker killed mid-batch is reaped and its in-flight slot requeued
+  with nothing lost; worker-side injected faults surface in the parent as
+  the same typed exceptions the threaded executor raises;
+* **lifecycle hygiene** — close is idempotent, a pool never creates a
+  ``/dev/shm`` entry, and workers exit when their parent is SIGKILLed.
 
 The longer mixed-load run lives in ``tests/test_soak.py``
 (``@pytest.mark.slow``); the ``worker_kill`` chaos scenario rides the
@@ -24,10 +24,17 @@ catalog parametrization in ``tests/test_chaos.py``.
 import json
 import multiprocessing
 import os
+import select
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from _procfs import shared_bytes, smaps_over
 
 from repro.core import (
     BatchPolicy,
@@ -39,7 +46,6 @@ from repro.core import (
     ProcPoolExecutor,
     parse_workers,
 )
-from repro.core import shm as shmseg
 from repro.core.procpool import KILL_EXIT_CODE, _derive_worker_plan
 from repro.faults import FaultPlan, FaultRule, InjectedFault
 from repro.models import build_spec
@@ -61,6 +67,16 @@ def _shm_names():
     return {p.name for p in root.iterdir() if p.name.startswith("psm_")}
 
 
+def _alive(pid):
+    """True while ``pid`` runs; a zombie awaiting its reaper counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            state = fh.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
 def _golden_input(net):
     rng = np.random.default_rng(INPUT_SEED)
     return rng.normal(size=(1,) + net.input_shape).astype(np.float32)
@@ -72,8 +88,7 @@ def zoo_registry():
     registry = ModelRegistry()
     for app in sorted(GOLDEN):
         registry.register_spec(app, build_spec(app), seed=SEED)
-    yield registry
-    registry.close_shm()
+    return registry
 
 
 @pytest.fixture(scope="module")
@@ -185,10 +200,9 @@ class TestSubmitSurface:
 
 
 # ----------------------------------------------------- read-only weights
-def _attempt_weight_write(manifest, q):
-    """Forked child: attach the shared weights and try to scribble on one."""
-    registry = ModelRegistry.attach_shm(manifest)
-    blob = shmseg.net_blobs(registry.get("pos"))[0]
+def _attempt_weight_write(net, q):
+    """Forked child: try to scribble on a weight it inherited."""
+    blob = net.params()[0]
     try:
         blob.data[...] = 0.0
         q.put("wrote")
@@ -198,16 +212,13 @@ def _attempt_weight_write(manifest, q):
 
 class TestReadOnlyWeights:
     def test_worker_process_cannot_write_weights(self, zoo_registry, pool):
-        """A real forked attacher gets ValueError from numpy — the worker
-        half of the paper's load-once / share-read-only contract."""
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn")
-        if ctx.get_start_method() != "fork":  # pragma: no cover
-            pytest.skip("manifest hand-off in this test relies on fork")
+        """A process forked after the pool exists — as every worker and
+        respawn is — gets ValueError from numpy on a weight write: the
+        worker half of the paper's load-once / share-read-only contract."""
+        ctx = multiprocessing.get_context("fork")
         q = ctx.Queue()
         proc = ctx.Process(target=_attempt_weight_write,
-                           args=(pool.manifest, q))
+                           args=(zoo_registry.get("pos"), q))
         proc.start()
         verdict = q.get(timeout=30)
         proc.join(timeout=30)
@@ -215,21 +226,34 @@ class TestReadOnlyWeights:
 
     def test_parent_blobs_rebind_read_only_after_export(self, zoo_registry,
                                                         pool):
-        """export_shm points the parent at the same read-only views, so no
-        process — parent included — holds a writable copy."""
+        """Once a pool exists every registry blob is read-only in the
+        parent too, so no process holds a writable weight and parent- and
+        worker-served answers cannot drift apart."""
         for app in zoo_registry.names():
-            for blob in shmseg.net_blobs(zoo_registry.get(app)):
+            for blob in zoo_registry.get(app).params():
                 assert not blob.require_data().flags.writeable
 
-    def test_weight_digest_stable_across_export(self):
-        registry = ModelRegistry()
-        net = registry.register_spec("pos", build_spec("pos"), seed=SEED)
-        before = shmseg.weight_digest(net)
-        registry.export_shm()
+    def test_worker_shares_weight_pages_with_parent(self, zoo_registry):
+        """One physical copy of the weights: after a worker serves imc, the
+        pages behind fc6 are shared with the parent, not private to the
+        worker.  fc6 (151 MB) is mapped on its own, and fork keeps
+        addresses, so the worker's smaps entries over fc6's data are the
+        inherited ones."""
+        net = zoo_registry.get("imc")
+        fc6 = next(blob for blob in net.params() if blob.name == "fc6.weight")
+        # only the address: a reference to the array itself, inherited by
+        # the worker, would keep these pages mapped there whatever it serves
+        addr, nbytes = fc6.require_data().ctypes.data, fc6.nbytes
+        pool = ProcPoolExecutor(zoo_registry, workers=1, max_batch=1)
         try:
-            assert shmseg.weight_digest(net) == before
+            x = _golden_input(net)
+            assert pool.submit("imc", x).tobytes() == net.forward(x).tobytes()
+            entry = smaps_over(pool._procs[0].pid, addr, nbytes)
         finally:
-            registry.close_shm()
+            pool.close()
+        assert entry is not None, "fc6's address is unmapped in the worker"
+        assert shared_bytes(entry) >= nbytes
+        assert entry["Private_Dirty"] * 1024 < nbytes // 2
 
 
 # -------------------------------------------------------- crash recovery
@@ -321,6 +345,27 @@ class TestCrashRecovery:
 
 
 # ----------------------------------------------------------- shm lifecycle
+#: a proc:2 server that serves one request, prints its worker pids and
+#: then blocks until it is killed
+_SIGKILLED_PARENT = textwrap.dedent("""
+    import sys
+
+    import numpy as np
+
+    from repro.core import DjinnClient, DjinnServer, ModelRegistry
+    from repro.models import build_spec
+
+    registry = ModelRegistry()
+    net = registry.register_spec("pos", build_spec("pos"), seed=0)
+    server = DjinnServer(registry, workers="proc:2")
+    server.start()
+    with DjinnClient(*server.address) as client:
+        client.infer("pos", np.zeros((1,) + net.input_shape, np.float32))
+    print(*(proc.pid for proc in server._pool._procs), flush=True)
+    sys.stdin.read()
+""")
+
+
 class TestShmLifecycle:
     def test_repeated_start_stop_leaves_dev_shm_clean(self):
         before = _shm_names()
@@ -331,8 +376,8 @@ class TestShmLifecycle:
             net = registry.get("pos")
             x = np.zeros((1,) + net.input_shape, np.float32)
             assert pool.submit("pos", x).shape == (1,) + net.output_shape
+            assert _shm_names() == before  # nothing named, even while up
             pool.close()
-            registry.close_shm()
         assert _shm_names() == before
 
     def test_pool_close_is_idempotent(self):
@@ -341,55 +386,46 @@ class TestShmLifecycle:
         pool = ProcPoolExecutor(registry, workers=1, max_batch=2)
         pool.close()
         pool.close()  # second close must be a no-op, not a crash
-        registry.close_shm()
-        registry.close_shm()
 
     def test_submit_after_close_is_typed(self):
         registry = ModelRegistry()
         registry.register_spec("pos", build_spec("pos"), seed=SEED)
         pool = ProcPoolExecutor(registry, workers=1, max_batch=2)
         pool.close()
+        with pytest.raises(ProcPoolError, match="closed"):
+            pool.submit("pos", np.zeros((1,) + registry.get("pos").input_shape,
+                                        np.float32))
+
+    def test_sigkilled_parent_takes_its_workers_down(self):
+        """A SIGKILLed server never sends the stop sentinel: its workers
+        must notice the parent's death and exit within 5 s, leaving
+        nothing behind in ``/dev/shm``."""
+        before = _shm_names()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+        parent = subprocess.Popen([sys.executable, "-c", _SIGKILLED_PARENT],
+                                  env=env, text=True, stdin=subprocess.PIPE,
+                                  stdout=subprocess.PIPE)
         try:
-            with pytest.raises(ProcPoolError, match="closed"):
-                pool.submit("pos", np.zeros((1,) + registry.get("pos").input_shape,
-                                            np.float32))
+            ready, _, _ = select.select([parent.stdout], [], [], 120)
+            assert ready, "server child printed no worker pids in 120 s"
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
         finally:
-            registry.close_shm()
-
-    def test_export_is_idempotent_one_copy_per_host(self, zoo_registry, pool):
-        """A second export (e.g. a second pool over the same registry) must
-        reuse the existing segments — never a second weight copy."""
-        first = zoo_registry.shm_manifest()
-        second = zoo_registry.export_shm()
-        assert first == second
-        segments = [entry["segment"] for entry in second["models"].values()]
-        assert len(segments) == len(set(segments)) == len(GOLDEN)
-
-    def test_double_close_and_double_unlink_tolerated(self):
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(create=True, size=64)
-        attached = shmseg.attach_segment(segment.name)
-        shmseg.close_segment(attached)
-        shmseg.close_segment(attached)          # double close: no-op
-        shmseg.unlink_segment(segment)
-        shmseg.unlink_segment(segment)          # double unlink: no-op
-
-    def test_segment_names_cover_weights_and_ring(self, zoo_registry, pool):
-        names = pool.segment_names()
-        assert len(names) == len(GOLDEN) + 1     # one per model + the ring
-        live = _shm_names()
-        for name in names:
-            assert name.lstrip("/") in live
-
-    def test_shm_bytes_accounts_every_parameter(self, zoo_registry, pool):
-        """The resident shm footprint is the parameter bytes plus only
-        per-blob alignment slack — weights live in shm exactly once."""
-        param_bytes = zoo_registry.total_param_bytes()
-        blob_count = sum(len(shmseg.net_blobs(zoo_registry.get(app)))
-                         for app in zoo_registry.names())
-        shm_bytes = zoo_registry.shm_bytes()
-        assert param_bytes <= shm_bytes <= param_bytes + 64 * blob_count
+            parent.send_signal(signal.SIGKILL)
+            parent.wait(timeout=30)
+            parent.stdout.close()
+            parent.stdin.close()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 5.0
+        while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if _alive(pid)]
+        for pid in survivors:  # do not leak them into the rest of the run
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == []
+        assert _shm_names() <= before
 
 
 # ---------------------------------------------------------------- metrics

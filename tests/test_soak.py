@@ -15,9 +15,9 @@ tolerance loses no detection power.  Bit-exact cross-executor identity at
 After the load drains, the run must leave no residue:
 
 * the weight digest of every served model is unchanged (nothing scribbled
-  on the shared read-only segments);
-* the shm footprint still equals one copy of the weights (plus per-blob
-  alignment slack) — load does not duplicate model state;
+  on the shared read-only weights);
+* in every worker, the pages behind each served model's largest weight
+  are still shared with the parent — load does not duplicate model state;
 * parent RSS growth over the whole soak stays bounded — the copy-free
   slot ring does not leak per-request memory.
 
@@ -29,10 +29,11 @@ import threading
 
 import numpy as np
 import pytest
+from _procfs import shared_bytes, smaps_over
 
 from repro.core import BatchPolicy, DjinnClient, DjinnServer, ModelRegistry
-from repro.core import shm as shmseg
 from repro.models import build_spec
+from repro.nn import weight_digest
 
 CLIENTS = 8
 REQUESTS_PER_CLIENT = 200
@@ -73,8 +74,7 @@ def test_proc_pool_fleet_survives_concurrent_soak():
                          batching=BatchPolicy(max_batch=8, timeout_ms=1.0))
     server.start()
     rss_before = _rss_bytes()
-    digests_before = {name: shmseg.weight_digest(net)
-                      for name, net in nets.items()}
+    digests_before = {name: weight_digest(net) for name, net in nets.items()}
 
     failures: list = []
     done = [0] * CLIENTS
@@ -115,13 +115,17 @@ def test_proc_pool_fleet_survives_concurrent_soak():
         # ---- residue checks, while the pool is still up ----------------
         # nothing scribbled on the shared weights
         for name, net in nets.items():
-            assert shmseg.weight_digest(net) == digests_before[name], (
+            assert weight_digest(net) == digests_before[name], (
                 f"{name}: weight digest changed under load")
-        # weights still resident exactly once (param bytes + alignment)
-        param_bytes = registry.total_param_bytes()
-        blob_count = sum(len(shmseg.net_blobs(net)) for net in nets.values())
-        assert param_bytes <= registry.shm_bytes() <= (
-            param_bytes + 64 * blob_count)
+        # weights still resident once: the worker maps the parent's pages
+        for proc in server._pool._procs:
+            for name, net in nets.items():
+                data = max((blob.require_data() for blob in net.params()),
+                           key=lambda array: array.nbytes)
+                entry = smaps_over(proc.pid, data.ctypes.data, data.nbytes)
+                assert entry is not None, f"{name}: weight unmapped in worker"
+                assert shared_bytes(entry) >= data.nbytes, (
+                    f"{name}: worker {proc.pid} holds a private weight copy")
         # no per-request leak in the parent
         growth = _rss_bytes() - rss_before
         assert growth < RSS_GROWTH_LIMIT, (
@@ -129,7 +133,6 @@ def test_proc_pool_fleet_survives_concurrent_soak():
             f"{CLIENTS * REQUESTS_PER_CLIENT} requests")
     finally:
         server.stop()
-        registry.close_shm()
 
 
 # --------------------------------------------------------------- streaming
@@ -217,7 +220,6 @@ def test_stream_soak_leaves_no_sessions_behind():
             f"{STREAM_CLIENTS * STREAMS_PER_CLIENT} streams")
     finally:
         server.stop()
-        registry.close_shm()
 
 
 # ------------------------------------------------------------ dup-heavy
@@ -317,4 +319,3 @@ def test_dup_heavy_cache_soak_bounded_and_exact():
     finally:
         gateway.stop()
         server.stop()
-        registry.close_shm()
