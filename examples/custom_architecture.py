@@ -5,7 +5,7 @@ Paper §3.1: "Supporting more applications simply requires providing DjiNN a
 pretrained neural network model."  This example exercises that claim with
 an architecture *outside* Tonic Suite: a small inception-style block (three
 parallel convolution towers concatenated) built as a
-:class:`repro.nn.GraphNet`, trained on the synthetic digit task, and
+:class:`repro.nn.GraphSpec` DAG, trained on the synthetic digit task, and
 registered with a running DjiNN service like any other model.
 
 Run:  python examples/custom_architecture.py
@@ -14,7 +14,7 @@ Run:  python examples/custom_architecture.py
 import numpy as np
 
 from repro.core import DjinnClient, DjinnServer, ModelRegistry
-from repro.nn import INPUT, GraphLayerSpec, GraphNet, GraphSpec
+from repro.nn import INPUT, GraphLayerSpec, GraphSpec, Net
 from repro.nn.layers.softmax import softmax_cross_entropy
 from repro.tonic import digit_dataset
 
@@ -50,7 +50,7 @@ def inception_digit_net(include_softmax=True) -> GraphSpec:
                      layers=tuple(layers), output=output)
 
 
-def train(net: GraphNet, steps: int = 120, lr: float = 0.08) -> None:
+def train(net: Net, steps: int = 120, lr: float = 0.08) -> None:
     images, labels = digit_dataset(800, seed=0)
     rng = np.random.default_rng(1)
     for step in range(steps):
@@ -68,16 +68,13 @@ def train(net: GraphNet, steps: int = 120, lr: float = 0.08) -> None:
 
 def main() -> None:
     print("training a 3-tower inception-style digit net "
-          f"({GraphNet(inception_digit_net()).param_count():,d} params)...")
-    trainable = GraphNet(inception_digit_net(include_softmax=False)).materialize(0)
+          f"({Net(inception_digit_net()).param_count():,d} params)...")
+    trainable = Net(inception_digit_net(include_softmax=False)).materialize(0)
     train(trainable)
 
-    serving = GraphNet(inception_digit_net())
+    serving = Net(inception_digit_net())
     # share trained weights into the softmax-capped serving graph
-    for dst, src in zip(serving.params(), trainable.params()):
-        dst.data = src.data
-        dst.grad = np.zeros_like(src.data)
-    serving._materialized = True
+    serving.copy_weights_from(trainable)
 
     test_images, test_labels = digit_dataset(300, seed=77)
     accuracy = float(np.mean(serving.predict(test_images) == test_labels))

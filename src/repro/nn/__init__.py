@@ -12,8 +12,7 @@ them.
 from . import layers  # noqa: F401  (registers all layer types)
 from .engine import ExecutionPlan, LayerCache, LayerCacheConfig, PlanError
 from .gradcheck import check_layer_gradients, max_relative_error, numerical_gradient
-from .graph import INPUT, GraphLayerSpec, GraphNet, GraphSpec
-from .netspec import LayerSpec, NetSpec
+from .netspec import INPUT, GraphLayerSpec, GraphSpec, LayerSpec, NetSpec
 from .network import Net, weight_digest
 from .serialize import load_net, save_net
 from .tensor import FLOAT_BYTES, Blob
@@ -39,7 +38,6 @@ __all__ = [
     "numerical_gradient",
     "save_net",
     "load_net",
-    "GraphNet",
     "GraphSpec",
     "GraphLayerSpec",
     "INPUT",

@@ -9,9 +9,9 @@ reusable arena so repeated forwards allocate nothing.
 
 Compilation
 -----------
-:class:`ExecutionPlan` accepts either a sequential :class:`repro.nn.Net` or a
-DAG :class:`repro.nn.GraphNet` (duck-typed on its ``_specs`` table) and
-lowers it to a list of steps, one per layer.  Each step's output buffer is
+:class:`ExecutionPlan` reads a :class:`repro.nn.Net`'s wiring — each layer's
+bottoms and the output top, the same for chains and DAGs — and lowers it to
+a list of steps, one per layer.  Each step's output buffer is
 assigned by a liveness scan:
 
 * ``plan_alias`` layers (Dropout at inference, Flatten) produce a *view* of
@@ -51,8 +51,8 @@ byte-identical to the allocating ``forward`` — the equivalence suite in
 ``tests/test_engine.py`` pins that per model.
 
 Thread safety: a plan is one arena, so callers must hold :attr:`lock` around
-gather + execute + result consumption.  ``Net.forward`` and
-:class:`repro.core.BatchingExecutor` both do; the latter keeps the lock until
+gather + execute + result consumption.  ``run``, ``run_into`` and
+:class:`repro.core.BatchingExecutor` all do; the latter keeps the lock until
 every response view has been serialized (its lease barrier).
 """
 
@@ -68,12 +68,10 @@ import numpy as np
 
 from .layers.base import Layer
 from .layers.merge import MultiInputLayer
+from .netspec import INPUT
 from .tensor import Blob
 
 __all__ = ["PlanError", "ExecutionPlan", "LayerCache", "LayerCacheConfig"]
-
-#: Reserved top name for the network input (mirrors ``repro.nn.graph.INPUT``).
-INPUT = "input"
 
 #: Byte alignment of every arena / scratch region.
 ALIGN = 64
@@ -147,7 +145,9 @@ class ExecutionPlan:
         self.net = net
         self.max_batch = int(max_batch)
         self.lock = threading.RLock()
-        self._steps, self._output = self._extract(net)
+        self._steps = [_Step(layer, list(bottoms), layer.name)
+                       for layer, bottoms in zip(net.layers, net.bottoms)]
+        self._output = net.output
         self._shapes: Dict[str, Tuple[int, ...]] = {INPUT: tuple(net.input_shape)}
         for step in self._steps:
             self._shapes[step.top] = tuple(step.layer.out_shape)
@@ -169,30 +169,6 @@ class ExecutionPlan:
             self._scratch = np.zeros(self.scratch_bytes, dtype=np.uint8)
 
     # ------------------------------------------------------------ compile
-    @staticmethod
-    def _extract(net) -> Tuple[List[_Step], str]:
-        layers = getattr(net, "layers", None)
-        if not layers:
-            raise PlanError(f"net {getattr(net, 'name', net)!r} has no layers")
-        specs = getattr(net, "_specs", None)
-        steps: List[_Step] = []
-        if specs is not None:  # GraphNet: named bottoms, declared output
-            for layer in layers:
-                spec = specs[layer.name]
-                steps.append(_Step(layer, list(spec.bottoms), layer.name))
-            output = net.spec.output
-        else:  # Net: a chain
-            prev = INPUT
-            for layer in layers:
-                steps.append(_Step(layer, [prev], layer.name))
-                prev = layer.name
-            output = prev
-        for step in steps:
-            if step.alias and len(step.bottoms) != 1:
-                raise PlanError(
-                    f"alias layer {step.layer.name!r} must have exactly one bottom")
-        return steps, output
-
     def _sample_bytes(self, name: str) -> int:
         return int(np.prod(self._shapes[name])) * _F32.itemsize
 
@@ -472,8 +448,8 @@ class ExecutionPlan:
     def run(self, x: np.ndarray, timer=None) -> np.ndarray:
         """Gather ``x`` into the arena, execute, return an owned copy.
 
-        This is the safe single-caller surface ``Net.forward`` dispatches
-        through; the copy-free path (views + lease barrier) lives in
+        The safe single-caller surface (and the tests' planned reference);
+        the copy-free path (views + lease barrier) lives in
         :class:`repro.core.BatchingExecutor`.
         """
         x = np.asarray(x, dtype=np.float32)

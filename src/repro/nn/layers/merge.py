@@ -1,8 +1,8 @@
 """Multi-input merge layers: Concat and element-wise Sum.
 
-These only make sense inside a :class:`repro.nn.graph.GraphNet` (the
-sequential :class:`~repro.nn.network.Net` has nothing to merge); their
-``setup``/``forward``/``backward`` operate on *lists* of shapes/arrays.
+These only make sense in a :class:`~repro.nn.netspec.GraphSpec` DAG (a
+chain has nothing to merge); their ``setup``/``forward``/``backward``
+operate on *lists* of shapes/arrays.
 """
 
 from __future__ import annotations

@@ -1,26 +1,31 @@
-"""Net: an executable feed-forward network built from a :class:`NetSpec`.
+"""Net: an executable feed-forward network built from a spec.
 
-All seven Tonic networks are layer chains, so the network is a sequence;
-application-level composition (e.g. CHK invoking POS first, §3.2.3 of the
-paper) happens in :mod:`repro.tonic`, matching the paper's structure.
+A :class:`~repro.nn.netspec.NetSpec` chain and a
+:class:`~repro.nn.netspec.GraphSpec` DAG lower to the same wiring — each
+layer's named bottoms plus one output top — so one class executes both:
+topological forward, gradient fan-in on the backward pass.  All seven Tonic
+networks are chains; application-level composition (e.g. CHK invoking POS
+first, §3.2.3 of the paper) happens in :mod:`repro.tonic`, matching the
+paper's structure.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple, Union
 
 import numpy as np
 
 from .layers.base import Layer, ShapeError
-from .netspec import NetSpec
+from .layers.merge import MultiInputLayer
+from .netspec import INPUT, GraphSpec, NetSpec
 from .tensor import Blob
 
 __all__ = ["Net", "weight_digest"]
 
 
 def weight_digest(net) -> str:
-    """SHA-256 over every weight byte of a Net or GraphNet, in layer order."""
+    """SHA-256 over every weight byte of a Net, in layer order."""
     digest = hashlib.sha256()
     for blob in net.params():
         digest.update(np.ascontiguousarray(blob.require_data()).tobytes())
@@ -36,18 +41,38 @@ class Net:
     be costed without half a gigabyte of allocation.
     """
 
-    def __init__(self, spec: NetSpec):
+    def __init__(self, spec: Union[NetSpec, GraphSpec]):
         self.spec = spec
         self.layers: List[Layer] = spec.build_layers()
-        shape: Tuple[int, ...] = spec.input_shape
-        for layer in self.layers:
+        #: the tops each layer consumes, and the top the net returns
+        self.bottoms: Tuple[Tuple[str, ...], ...] = spec.bottoms
+        self.output: str = spec.output
+        shapes: Dict[str, Tuple[int, ...]] = {INPUT: spec.input_shape}
+        for layer, bottoms in zip(self.layers, self.bottoms):
+            in_shapes = [shapes[b] for b in bottoms]
             try:
-                shape = layer.setup(shape)
+                if isinstance(layer, MultiInputLayer):
+                    shapes[layer.name] = layer.setup(in_shapes)
+                elif len(in_shapes) != 1:
+                    raise ShapeError(
+                        f"{layer.type_name} takes one bottom, got {len(in_shapes)}")
+                else:
+                    shapes[layer.name] = layer.setup(in_shapes[0])
             except (ShapeError, ValueError) as exc:
                 raise ShapeError(f"net {spec.name!r}, layer {layer.name!r}: {exc}") from exc
-        self.output_shape = shape
+        self.output_shape = shapes[self.output]
+        # each top is dropped after its last reader (or, unread, after its
+        # producer), so an inference forward holds only live activations
+        last_read = {layer.name: i for i, layer in enumerate(self.layers)}
+        for i, bottoms in enumerate(self.bottoms):
+            last_read.update((b, i) for b in bottoms)
+        del last_read[self.output]
+        self._steps = tuple(
+            (layer, bottoms, isinstance(layer, MultiInputLayer),
+             tuple(name for name, last in last_read.items() if last == i))
+            for i, (layer, bottoms) in enumerate(zip(self.layers, self.bottoms))
+        )
         self._materialized = False
-        self._plan = None
 
     # ----------------------------------------------------------- properties
     @property
@@ -61,21 +86,6 @@ class Net:
     @property
     def materialized(self) -> bool:
         return self._materialized
-
-    @property
-    def plan(self):
-        """The attached :class:`repro.nn.engine.ExecutionPlan`, if any."""
-        return self._plan
-
-    def compile_plan(self, max_batch: int):
-        """Compile and attach an arena-backed plan for batches up to
-        ``max_batch``; subsequent inference ``forward`` calls within the
-        envelope execute through it (same kernels, zero steady-state
-        allocation).  Returns the plan."""
-        from .engine import ExecutionPlan
-
-        self._plan = ExecutionPlan(self, max_batch)
-        return self._plan
 
     def params(self) -> List[Blob]:
         return [blob for layer in self.layers for blob in layer.params]
@@ -103,10 +113,12 @@ class Net:
             blob.zero_grad()
 
     def copy_weights_from(self, other: "Net") -> None:
-        """Share weight arrays with ``other`` (read-only model sharing).
+        """Share ``other``'s weight arrays (no copy) and mark this net
+        materialized.
 
-        This is how the DjiNN registry gives every worker thread access to a
-        single in-memory copy of each model (§3.1 "Request Processing").
+        The hand-off from training to serving: train a net whose last layer
+        emits logits, then serve the same arrays from a softmax-capped net
+        of the same weighted layers.
         """
         mine, theirs = self.params(), other.params()
         if len(mine) != len(theirs):
@@ -130,33 +142,42 @@ class Net:
         ``timer`` is an optional per-layer profiling hook (duck-typed to
         :class:`repro.obs.LayerTimer`): ``timer.begin(layer)`` /
         ``timer.end(layer)`` bracket each layer, yielding the paper's
-        Fig-4-style breakdown.  ``timer=None`` (the default) runs the
-        original loop — disabled profiling costs nothing.
+        Fig-4-style breakdown.  ``timer=None`` (the default) costs nothing.
         """
         if not self._materialized:
             raise RuntimeError(f"net {self.name!r} is not materialized")
         x = np.asarray(x, dtype=np.float32)
-        if x.ndim == len(self.input_shape):  # single sample convenience
-            x = x[None]
-        # inference within the plan envelope executes through the arena;
-        # training and oversize batches fall back to the allocating loop
-        if self._plan is not None and not train and x.shape[0] <= self._plan.max_batch:
-            return self._plan.run(x, timer=timer)
-        if timer is None:
-            for layer in self.layers:
-                x = layer.forward(x, train=train)
-        else:
-            for layer in self.layers:
+        # a single sample gets a batch axis; once only the dict holds the
+        # input, a converted copy is freed after its last reader
+        tops = {INPUT: x[None] if x.ndim == len(self.input_shape) else x}
+        del x
+        for layer, bottoms, multi, release in self._steps:
+            xs = [tops[b] for b in bottoms] if multi else tops[bottoms[0]]
+            if timer is not None:
                 timer.begin(layer)
-                x = layer.forward(x, train=train)
+            tops[layer.name] = layer.forward(xs, train=train)
+            if timer is not None:
                 timer.end(layer)
-        return x
+            for name in release:
+                del tops[name]
+        return tops[self.output]
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        """Backpropagate; accumulates parameter gradients, returns d(input)."""
-        for layer in reversed(self.layers):
-            dout = layer.backward(dout)
-        return dout
+        """Backpropagate from the output; accumulates parameter gradients
+        and returns d(input).
+
+        Gradients fan in: a top consumed by several layers receives the sum
+        of its consumers' input-gradients.
+        """
+        grads = {self.output: dout}
+        for layer, bottoms, multi, _ in reversed(self._steps):
+            grad = grads.pop(layer.name, None)
+            if grad is None:
+                continue  # dead branch: nothing downstream consumed it
+            dx = layer.backward(grad)
+            for bottom, d in zip(bottoms, dx if multi else (dx,)):
+                grads[bottom] = grads[bottom] + d if bottom in grads else d
+        return grads[INPUT]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Class indices (argmax over the final dimension) for a batch."""

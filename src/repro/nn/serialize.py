@@ -14,8 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .graph import GraphNet, GraphSpec
-from .netspec import NetSpec
+from .netspec import GraphSpec, NetSpec
 from .network import Net
 
 __all__ = ["save_net", "load_net"]
@@ -26,7 +25,7 @@ _SPEC_KEY = "__netspec_json__"
 def save_net(net, path: Union[str, "os.PathLike"]) -> None:  # noqa: F821
     """Write a materialized net (spec + weights) to an ``.npz`` archive.
 
-    Works for both sequential :class:`Net` and DAG :class:`GraphNet`.
+    Works for chain and DAG nets alike.
     """
     if not net.materialized:
         raise ValueError(f"net {net.name!r} has no weights to save")
@@ -41,16 +40,15 @@ def save_net(net, path: Union[str, "os.PathLike"]) -> None:  # noqa: F821
 def load_net(path: Union[str, "os.PathLike"]):  # noqa: F821
     """Rebuild a net (spec + weights) from :func:`save_net`'s archive.
 
-    Returns a :class:`Net` or :class:`GraphNet` according to what was saved.
+    The archive's spec is a :class:`NetSpec` or a :class:`GraphSpec`,
+    according to what was saved; either builds a :class:`Net`.
     """
     with np.load(path) as archive:
         if _SPEC_KEY not in archive:
             raise ValueError(f"{path}: not a repro.nn model archive")
         spec_dict = json.loads(bytes(archive[_SPEC_KEY]).decode("utf-8"))
-        if spec_dict.get("kind") == "graph":
-            net = GraphNet(GraphSpec.from_dict(spec_dict))
-        else:
-            net = Net(NetSpec.from_dict(spec_dict))
+        spec_cls = GraphSpec if spec_dict.get("kind") == "graph" else NetSpec
+        net = Net(spec_cls.from_dict(spec_dict))
         params = net.params()
         keys = sorted(k for k in archive.files if k.startswith("param_"))
         if len(keys) != len(params):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
@@ -56,20 +56,12 @@ class DnnBackend:
 
 
 class LocalBackend(DnnBackend):
-    """Run inference in-process on a materialized net (no service).
+    """Run inference in-process on a materialized net (no service)."""
 
-    ``plan_batch`` compiles and attaches an arena-backed execution plan
-    covering batches up to that size (see :meth:`repro.nn.Net.compile_plan`),
-    so repeated queries reuse one set of buffers instead of reallocating
-    activations per call.
-    """
-
-    def __init__(self, net: Net, plan_batch: Optional[int] = None):
+    def __init__(self, net: Net):
         if not net.materialized:
             raise ValueError(f"net {net.name!r} must be materialized for a LocalBackend")
         self.net = net
-        if plan_batch is not None:
-            net.compile_plan(plan_batch)
 
     def infer(self, model: str, inputs: np.ndarray) -> np.ndarray:
         return self.net.forward(inputs)

@@ -56,10 +56,10 @@ from repro.models import build_net
 from repro.nn import (
     ExecutionPlan,
     GraphLayerSpec,
-    GraphNet,
     GraphSpec,
     LayerCache,
     LayerCacheConfig,
+    Net,
     PlanError,
 )
 from repro.obs import Tracer
@@ -377,7 +377,7 @@ class TestRunFromSplits:
             ),
             output="prob",
         )
-        net = GraphNet(spec).materialize(3)
+        net = Net(spec).materialize(3)
         plan = ExecutionPlan(net, 4)
         splits = plan.safe_splits()
         # step 1 (relu) keeps ip1 live for the sum: not a safe split

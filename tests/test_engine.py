@@ -14,7 +14,6 @@ from repro.models import build_net
 from repro.nn import (
     ExecutionPlan,
     GraphLayerSpec,
-    GraphNet,
     GraphSpec,
     Net,
     PlanError,
@@ -74,34 +73,6 @@ class TestPlanEquivalence:
         np.testing.assert_array_equal(first, plan.run(x))
 
 
-# ------------------------------------------------------------ net dispatch
-class TestNetDispatch:
-    def test_attached_plan_serves_inference(self):
-        net = build_net("dig", materialize=True)
-        x = batch_for(net, 4, 5)
-        legacy = net.forward(x)
-        plan = net.compile_plan(8)
-        assert net.plan is plan
-        np.testing.assert_array_equal(net.forward(x), legacy)
-
-    def test_oversize_batch_falls_back(self):
-        net = build_net("pos", materialize=True)
-        net.compile_plan(2)
-        x = batch_for(net, 5, 9)  # wider than the plan envelope
-        ref = Net(net.spec)
-        ref.copy_weights_from(net)
-        np.testing.assert_array_equal(net.forward(x), ref.forward(x))
-
-    def test_train_bypasses_plan(self):
-        net = build_net("pos", materialize=True)
-        net.compile_plan(4)
-        x = batch_for(net, 2, 13)
-        out = net.forward(x, train=True)
-        # training caches must be populated for backward (plan would skip them)
-        net.backward(np.ones_like(out))
-        assert any(blob.grad.any() for blob in net.params())
-
-
 # ------------------------------------------------------------------ graphs
 class TestGraphPlans:
     @staticmethod
@@ -122,7 +93,7 @@ class TestGraphPlans:
             ),
             output="prob",
         )
-        return GraphNet(spec).materialize(3)
+        return Net(spec).materialize(3)
 
     def test_dag_with_fanout_byte_identical(self):
         net = self.fanout_graph()
@@ -137,13 +108,6 @@ class TestGraphPlans:
         modes = {s["layer"]: s["mode"] for s in plan.describe()["steps"]}
         assert modes["act"] == "compute"  # ip1 is read again by sum
         assert modes["prob"] == "inplace"  # head has no other readers
-
-    def test_graphnet_compile_plan_dispatch(self):
-        net = self.fanout_graph()
-        x = np.random.default_rng(19).standard_normal((2, 6)).astype(np.float32)
-        legacy = net.forward(x)
-        net.compile_plan(4)
-        np.testing.assert_array_equal(net.forward(x), legacy)
 
 
 # ----------------------------------------------------------------- layout
@@ -161,7 +125,7 @@ class TestPlanLayout:
             ),
             output="prob",
         )
-        gnet = GraphNet(spec).materialize(1)
+        gnet = Net(spec).materialize(1)
         plan = ExecutionPlan(gnet, 2)
         steps = {s["layer"]: s for s in plan.describe()["steps"]}
         assert steps["drop"]["mode"] == "alias"
@@ -176,7 +140,7 @@ class TestPlanLayout:
             layers=(GraphLayerSpec("ReLU", "act", ("input",)),),
             output="act",
         )
-        gnet = GraphNet(spec).materialize(0)
+        gnet = Net(spec).materialize(0)
         plan = ExecutionPlan(gnet, 2)
         step = plan.describe()["steps"][0]
         assert step["mode"] == "compute"
