@@ -337,13 +337,14 @@ REQUIRED_SPANS = (
 )
 
 
-def cmd_trace(args) -> int:
-    import json
-    import os
-
+def _traced_fleet_run(args, rows: int, read):
+    """Send ``args.requests`` traced INFERs of ``rows`` rows each (models
+    round-robin) through an in-process fleet of profiled backends behind a
+    gateway; returns ``(tracer, read(client))``, read before teardown.
+    The tracer keeps every span until the caller clears it."""
     from .core import BatchPolicy, DjinnClient
     from .gateway import ClusterLauncher, GatewayServer
-    from .obs import coverage, format_trace, get_tracer, parse_exposition
+    from .obs import get_tracer
 
     names = [m for m in args.models.split(",") if m]
     registry = _build_registry(names)
@@ -368,13 +369,24 @@ def cmd_trace(args) -> int:
                 with DjinnClient(host, port) as client:
                     for i in range(args.requests):
                         model = names[i % len(names)]
-                        shape = (2,) + tuple(registry.get(model).input_shape)
+                        shape = (rows,) + tuple(registry.get(model).input_shape)
                         client.infer(model, rng.normal(size=shape).astype(np.float32))
-                    metrics_text = client.metrics_text()
+                    return tracer, read(client)
             finally:
                 gateway.stop()
     finally:
         tracer.disable()
+
+
+def cmd_trace(args) -> int:
+    import json
+    import os
+
+    from .obs import coverage, format_trace, parse_exposition
+
+    out = sys.stderr if args.json else sys.stdout
+    tracer, metrics_text = _traced_fleet_run(
+        args, 2, lambda client: client.metrics_text())
 
     trace_ids = tracer.trace_ids()
     if not trace_ids:
@@ -464,40 +476,9 @@ def _latency_exemplars(dump: dict) -> List:
 def cmd_slow(args) -> int:
     import json
 
-    from .core import BatchPolicy, DjinnClient
-    from .gateway import ClusterLauncher, GatewayServer
-    from .obs import build_ledger, format_ledger, format_trace, get_tracer
+    from .obs import build_ledger, format_ledger, format_trace
 
-    names = [m for m in args.models.split(",") if m]
-    registry = _build_registry(names)
-    out = sys.stderr if args.json else sys.stdout
-    tracer = get_tracer()
-    tracer.clear()
-    tracer.enable()
-    rng = np.random.default_rng(args.seed)
-    cluster = ClusterLauncher(
-        registry, backends=args.backends,
-        batching=BatchPolicy(max_batch=args.batch, timeout_ms=args.timeout_ms),
-        profile_layers=True,
-    )
-    try:
-        with cluster:
-            gateway = GatewayServer(cluster.addresses)
-            gateway.start()
-            try:
-                host, port = gateway.address
-                print(f"fleet of {len(cluster)} backends behind {host}:{port}; "
-                      f"sending {args.requests} traced request(s)...", file=out)
-                with DjinnClient(host, port) as client:
-                    for i in range(args.requests):
-                        model = names[i % len(names)]
-                        shape = (1,) + tuple(registry.get(model).input_shape)
-                        client.infer(model, rng.normal(size=shape).astype(np.float32))
-                    dump = client.metrics()
-            finally:
-                gateway.stop()
-    finally:
-        tracer.disable()
+    tracer, dump = _traced_fleet_run(args, 1, lambda client: client.metrics())
 
     exemplars = _latency_exemplars(dump)
     if not exemplars:

@@ -21,7 +21,7 @@ from .client import (
     StreamResult,
 )
 from .loadgen import LoadResult, run_closed_loop_load
-from .procpool import PoolLease, ProcPoolError, ProcPoolExecutor, parse_workers
+from .procpool import ProcPoolError, ProcPoolExecutor, parse_workers
 from .protocol import Message, MessageType, ProtocolError, recv_message, send_message
 from .registry import ModelRegistry
 from .server import DjinnServer
@@ -31,7 +31,6 @@ from .stats import ServiceStats
 __all__ = [
     "BatchingExecutor",
     "BatchPolicy",
-    "PoolLease",
     "ProcPoolError",
     "ProcPoolExecutor",
     "parse_workers",

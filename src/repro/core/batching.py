@@ -41,25 +41,21 @@ The routine has two callers:
   lock.  Rows preprocessed before a decline ride along in the enqueued
   request, so an app payload is preprocessed exactly once.
 
-Copy-free serving: payloads are gathered straight into the plan's input
-slab and results are scattered back as *read-only views* of its output
-slab.  Because the arena is reused by the next batch, whoever holds
-``plan.lock`` keeps it until every waiter has consumed its view — the
-worker waits on the lease barrier, an inline lease releases the lock
-itself.  :meth:`BatchingExecutor.submit` copies on behalf of the caller;
-:meth:`BatchingExecutor.submit_lease` hands the view to zero-copy consumers
-such as :class:`repro.core.server.DjinnServer`, which serializes straight
-from the slab and then releases.
+Result hand-off: payloads are gathered straight into the plan's input
+slab, and each executed batch is copied out of the arena (or the pool
+slot) once, right after its forward.  Every waiter receives a *read-only
+row slice* of that owned array, so the plan lock and the slot go back
+before any waiter wakes — no reply, however slow its socket, holds the
+model's arena.  :meth:`BatchingExecutor.submit` returns that slice.
 
 App requests (APP frames, :meth:`BatchingExecutor.submit_app`) carry a raw
 payload plus its :class:`repro.tonic.TonicApp`: ``preprocess_batch`` runs
 over every raw request the batch coalesced (in the worker process's shm
 slot when a proc pool is armed and the payloads are slot-eligible),
 ``postprocess_batch`` over the result block, and each waiter receives its
-final application answer — no arena lease to release.  A poisoned payload
-fails only its own request: the vectorized call falls back to the per-item
-loop to isolate the offender.  Stream-frame chunks are ordinary
-:meth:`submit_lease` calls.
+final application answer.  A poisoned payload fails only its own request:
+the vectorized call falls back to the per-item loop to isolate the
+offender.  Stream-frame chunks are ordinary :meth:`submit` calls.
 
 The layer cache (``layer_cache=``) is per model, not per plan:
 :meth:`repro.nn.engine.LayerCache.serve` runs on whichever plan the caller
@@ -92,7 +88,7 @@ from ..sched import (
 from . import faultsite
 from .registry import ModelRegistry
 
-__all__ = ["BatchPolicy", "BatchingExecutor", "ResultLease"]
+__all__ = ["BatchPolicy", "BatchingExecutor"]
 
 #: Bucket bounds for the executed-batch-size histogram (inputs per forward).
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -115,10 +111,9 @@ class BatchPolicy:
 class _Pending:
     """One submitted request and, once served, its slice of the result."""
 
-    __slots__ = ("inputs", "event", "consumed", "release", "result", "error",
-                 "trace", "enqueue_s", "delivered_s", "arena", "deadline_s",
-                 "priority", "tenant", "app", "raw", "row_hint", "pre_start",
-                 "pre_end")
+    __slots__ = ("inputs", "event", "result", "error", "trace", "enqueue_s",
+                 "delivered_s", "deadline_s", "priority", "tenant", "app",
+                 "raw", "row_hint", "pre_start", "pre_end")
 
     def __init__(self, inputs: Optional[np.ndarray],
                  trace: Optional[Tuple[int, int]] = None,
@@ -129,13 +124,9 @@ class _Pending:
         #: (a proc-pool batch that defers preprocess into the worker process
         #: parks the raw slot rows here instead)
         self.inputs = inputs
-        #: result-ready / view-consumed signals, allocated only when the
-        #: request is enqueued — an inline-served request has no waiter
+        #: result-ready signal, allocated only when the request is
+        #: enqueued — an inline-served request has no waiter
         self.event: Optional[threading.Event] = None
-        self.consumed: Optional[threading.Event] = None
-        #: gives the arena back: sets ``consumed`` for the worker's lease
-        #: barrier, or releases the plan lock an inline serve still holds
-        self.release: Optional[Callable[[], None]] = None
         #: this request's read-only slice of the batch output; for an app
         #: request, replaced by the postprocessed answer
         self.result = None
@@ -153,9 +144,6 @@ class _Pending:
         self.deadline_s = deadline_s
         self.priority = priority
         self.tenant = tenant
-        #: True when ``result`` is a view of a plan arena or pool slot
-        #: (volatile: only valid until ``release`` is called)
-        self.arena = False
         #: app pipeline fields: the TonicApp whose pre/post kernels run
         #: server-side, the raw payload, the submitter's row estimate used
         #: for assembly before preprocess, and the window in which this
@@ -165,43 +153,6 @@ class _Pending:
         self.row_hint = row_hint
         self.pre_start = 0.0
         self.pre_end = 0.0
-
-
-class ResultLease:
-    """A scatter slice leased to a zero-copy consumer.
-
-    ``outputs`` is a read-only view of the batch result — of a plan's
-    output slab or a pool slot (valid only until :meth:`release`), or of
-    an owned array when the layer cache assembled it.  Always release (or
-    use as a context manager): an unreleased lease stalls the model's
-    worker for the barrier timeout, or pins the plan an inline serve ran
-    on.
-    """
-
-    __slots__ = ("_pending",)
-
-    def __init__(self, pending: _Pending):
-        self._pending = pending
-
-    @property
-    def outputs(self) -> np.ndarray:
-        return self._pending.result
-
-    @property
-    def delivered_s(self) -> float:
-        """Delivery stamp (0.0 until the result is handed out)."""
-        return self._pending.delivered_s
-
-    def release(self) -> None:
-        release, self._pending.release = self._pending.release, None
-        if release is not None:
-            release()
-
-    def __enter__(self) -> "ResultLease":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
 
 
 class _BatchRecord:
@@ -230,7 +181,6 @@ class _BatchRecord:
     rows = 0
     timer: Optional[LayerTimer] = None
     served = None  # LayerCache.serve outcome when the cache ran
-    lease = None  # pool slot lease when the batch rode the ring
 
 
 class BatchingExecutor:
@@ -244,9 +194,6 @@ class BatchingExecutor:
     observability surfaces.
     """
 
-    #: how long the lease barrier waits for consumers before reclaiming the
-    #: arena anyway (a dead consumer must not wedge the worker forever)
-    LEASE_TIMEOUT_S = 5.0
     #: executed batch sizes remembered per model
     EXECUTED_WINDOW = 4096
 
@@ -380,8 +327,6 @@ class BatchingExecutor:
             pending.enqueue_s = self.clock()
             queue = self._ensure_worker(model)
             pending.event = threading.Event()
-            pending.consumed = threading.Event()
-            pending.release = pending.consumed.set
             queue.put(pending)
             pending.event.wait()
         if pending.error is not None:
@@ -393,30 +338,17 @@ class BatchingExecutor:
                qos: Optional[Tuple[float, int, str]] = None) -> np.ndarray:
         """Serve ``inputs`` (n, *input_shape); blocks until results ready.
 
-        Returns an array the caller owns: arena-backed slices are copied out
-        (and the lease released) before returning.  ``trace`` is an optional
-        ``(trace_id, parent_span_id)`` pair; when present, the request's
-        queue wait and the batch it lands in are recorded as spans of that
-        trace.  ``qos`` is an optional ``(deadline_s, priority, tenant)``
-        triple (deadline absolute on this executor's clock); it only takes
-        effect when a scheduling policy is armed, and an expired request
-        raises :class:`repro.sched.DeadlineExceededError` instead of
-        running.
+        Returns this request's read-only row slice of an array the executor
+        copied out of the arena, so nothing stays pinned once it returns.
+        ``trace`` is an optional ``(trace_id, parent_span_id)`` pair; when
+        present, the request's queue wait and the batch it lands in are
+        recorded as spans of that trace.  ``qos`` is an optional
+        ``(deadline_s, priority, tenant)`` triple (deadline absolute on this
+        executor's clock); it only takes effect when a scheduling policy is
+        armed, and an expired request raises
+        :class:`repro.sched.DeadlineExceededError` instead of running.
         """
-        pending = self._submit(model, inputs, trace, qos)
-        with ResultLease(pending) as lease:
-            return lease.outputs.copy() if pending.arena else lease.outputs
-
-    def submit_lease(self, model: str, inputs: np.ndarray,
-                     trace: Optional[Tuple[int, int]] = None,
-                     qos: Optional[Tuple[float, int, str]] = None) -> ResultLease:
-        """Like :meth:`submit` but zero-copy: returns a :class:`ResultLease`
-        whose ``outputs`` view the batch result in place.  The caller must
-        ``release()`` (or exit the context manager) promptly — until then
-        the model's worker (or, for an inline-served request, the plan it
-        ran on) holds the arena.
-        """
-        return ResultLease(self._submit(model, inputs, trace, qos))
+        return self._submit(model, inputs, trace, qos).result
 
     def submit_app(self, model: str, app, raw,
                    trace: Optional[Tuple[int, int]] = None,
@@ -428,7 +360,7 @@ class BatchingExecutor:
         samples, token text); ``app`` supplies the ``preprocess_batch`` /
         ``postprocess_batch`` kernels, which run batched alongside every
         other coalesced raw request.  Returns the postprocessed application
-        answer (a plain Python object — no arena lease to release).
+        answer (a plain Python object).
         ``row_hint`` is the submitter's estimate of the DNN rows this
         payload expands to, used only for batch assembly before preprocess
         runs.
@@ -468,12 +400,7 @@ class BatchingExecutor:
             # request's batch assembly — keeps inline traces gap-free
             rec.start = pending.pre_end or pending.enqueue_s
             self._serve(model, batch, rec, plan)
-        except BaseException:
-            plan.lock.release()
-            raise
-        if pending.arena:
-            pending.release = plan.lock.release  # the lease owns the lock now
-        else:
+        finally:
             plan.lock.release()
         return True
 
@@ -483,7 +410,7 @@ class BatchingExecutor:
 
         The window is anchored at the *first request's enqueue time*, not at
         worker wake-up: under contention the worker can pick the request up
-        late (lease barriers, floor sleeps, GIL), and re-anchoring at wake-up
+        late (floor sleeps, GIL), and re-anchoring at wake-up
         silently extended every window by that drift — each queued request
         paid the wait twice.
         """
@@ -631,9 +558,8 @@ class BatchingExecutor:
                            rec: _BatchRecord) -> None:
         """Batched postprocess: app waiters get their final answer.
 
-        The result view is consumed *here*, so app waiters never hold an
-        arena lease.  A failing postprocess falls back to the per-item loop
-        so only the offending request errors.
+        A failing postprocess falls back to the per-item loop so only the
+        offending request errors.
         """
         apps = [p for p in batch if p.app is not None]
         if not apps:
@@ -655,8 +581,6 @@ class BatchingExecutor:
                     except Exception as exc:
                         p.error = exc
         rec.app_end = self.clock()
-        for p in apps:
-            p.arena = False  # the answer is an owned object, not a view
         self.latency.observe(f"{model}:postprocess",
                              sum(len(p.inputs) for p in apps),
                              rec.app_end - rec.app_start)
@@ -680,9 +604,10 @@ class BatchingExecutor:
         """Serve one assembled batch: gather → forward → scatter → post.
 
         ``plan`` is the :class:`ExecutionPlan` to run on, its lock held by
-        the caller — or ``None`` to ride a proc-pool slot (the lease lands
-        in ``rec.lease``; the caller releases it).  Raises on failure; the
-        caller owns delivery of the error.
+        the caller — or ``None`` to ride a proc-pool slot.  Either way the
+        forward yields an owned array, so the caller may release the plan
+        as soon as this returns.  Raises on failure; the caller owns
+        delivery of the error.
         """
         clock = self.clock
         if faultsite.active is not None:
@@ -707,13 +632,12 @@ class BatchingExecutor:
             rec.timer = LayerTimer(clock)
         rec.forward_start = clock()
         if plan is None:
-            # gather happens directly into the shm slot; the result stays
-            # pinned there under the lease until every waiter has consumed
-            # its view.  A deferred batch ships *raw* rows: the worker
-            # process preprocesses in-slot before its forward.
-            rec.lease = self.pool.submit_parts(
+            # gather happens directly into the shm slot, and the pool copies
+            # the result out before freeing it.  A deferred batch ships *raw*
+            # rows: the worker process preprocesses in-slot before its
+            # forward.
+            outputs = self.pool.submit_parts(
                 model, [p.inputs for p in batch], raw=rec.deferred)
-            outputs = rec.lease.outputs
         else:
             cache = self._layer_cache_for(model, plan)
             if cache is not None:
@@ -721,7 +645,9 @@ class BatchingExecutor:
                                          plan=plan)
                 outputs = rec.served.outputs
             else:
-                outputs = plan.execute(rows, timer=rec.timer)
+                # the one copy out of the arena, so no waiter pins the plan
+                outputs = plan.execute(rows, timer=rec.timer).copy()
+                outputs.flags.writeable = False
         rec.forward_end = clock()
         if self.service_floor_s:
             # pace before scatter so the paced idle stays out of every span
@@ -730,19 +656,12 @@ class BatchingExecutor:
             if remaining > 0:
                 time.sleep(remaining)
         rec.post_start = clock()
-        # cache-served outputs are an owned assembled array, not arena
-        # slabs — those views stay durable past the lease
-        arena = rec.served is None
+        # every runner hands back an owned read-only array: each waiter gets
+        # its row slice, read-only too
         offset = 0
         for p in batch:
             n = len(p.inputs)
-            # a fresh slice per waiter: the read-only flag must not stick
-            # to the plan's own output slab (the next execute writes it)
-            view = outputs[offset:offset + n]
-            if view.flags.writeable:
-                view.flags.writeable = False  # consumers copy, never mutate
-            p.result = view
-            p.arena = arena
+            p.result = outputs[offset:offset + n]
             offset += n
         self._postprocess_stage(model, batch, rec)
         self._account(model, batch, rec)
@@ -756,7 +675,7 @@ class BatchingExecutor:
         matching the cost ledger: the policy wait goes to ``sched.wait``
         not ``backend.queue`` too, the layer-cache probe window moves from
         ``net.forward`` into ``engine.cache``.  Everything from scatter
-        start to the delivery stamp taken here — view hand-out and this
+        start to the delivery stamp taken here — slice hand-out and this
         accounting itself — is ``batch.scatter``, split around the app
         postprocess window; respond accounting takes over at the stamp.
         """
@@ -907,17 +826,7 @@ class BatchingExecutor:
                 for p in batch:
                     p.error = exc
             finally:
-                for p in batch:
-                    p.event.set()
-                # lease barrier: the arena / shm slot is about to be
-                # reused, so wait until every consumer has
-                # copied/serialized its view
-                deadline = time.monotonic() + self.LEASE_TIMEOUT_S
-                for p in batch:
-                    if p.arena and p.error is None:
-                        p.consumed.wait(
-                            timeout=max(0.0, deadline - time.monotonic()))
                 if plan is not None:
                     plan.lock.release()
-                if rec.lease is not None:
-                    rec.lease.release()
+                for p in batch:
+                    p.event.set()

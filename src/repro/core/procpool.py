@@ -18,9 +18,9 @@ gives one replica true core-level parallelism while keeping the paper's
   straight into a slot's input region, the worker runs an arena-backed
   :class:`~repro.nn.engine.ExecutionPlan` forward with
   :meth:`~repro.nn.engine.ExecutionPlan.run_into` targeting the slot's
-  output region, and the parent hands the response out as a read-only
-  view (:class:`PoolLease`) — no pickling, no sockets, no output copy in
-  the parent;
+  output region, and the parent copies the response out and frees the
+  slot before handing it back read-only — no pickling, no sockets, and no
+  slot held past the call;
 * each worker owns *private* arena slabs (activations are written every
   forward) but shares the weight pages — exactly the paper's split of
   mutable scratch vs. immutable model state;
@@ -69,7 +69,7 @@ from ..obs.metrics import MetricsRegistry, read_dump_region, write_dump_region
 from . import faultsite
 from .registry import ModelRegistry
 
-__all__ = ["ProcPoolExecutor", "ProcPoolError", "PoolLease", "parse_workers"]
+__all__ = ["ProcPoolExecutor", "ProcPoolError", "parse_workers"]
 
 
 class ProcPoolError(RuntimeError):
@@ -183,43 +183,6 @@ class _Waiter:
     def __init__(self, seq: int):
         self.seq = seq
         self.event = threading.Event()
-
-
-class PoolLease:
-    """A served batch pinned in its response slot until released.
-
-    :attr:`outputs` is a read-only ndarray view over the slot ring; call
-    :meth:`release` (or use as a context manager) to hand the slot back.
-    Mirrors :class:`repro.core.batching.ResultLease` so the server's
-    serialize-from-the-lease path works unchanged.
-    """
-
-    __slots__ = ("_pool", "_slot", "_outputs", "_released")
-
-    def __init__(self, pool: "ProcPoolExecutor", slot: int, outputs: np.ndarray):
-        self._pool = pool
-        self._slot = slot
-        self._outputs = outputs
-        self._released = False
-
-    @property
-    def outputs(self) -> np.ndarray:
-        if self._released:
-            raise RuntimeError("lease already released")
-        return self._outputs
-
-    def release(self) -> None:
-        if self._released:
-            return
-        self._released = True
-        self._outputs = None
-        self._pool._release_slot(self._slot)
-
-    def __enter__(self) -> "PoolLease":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
 
 
 # -------------------------------------------------------------- worker side
@@ -358,9 +321,9 @@ class ProcPoolExecutor:
     """Drop-in executor running forwards in N forked worker processes.
 
     The submit surface mirrors :class:`repro.core.BatchingExecutor`:
-    :meth:`submit` (copying), :meth:`submit_lease` (copy-free view), plus
-    :meth:`submit_parts` for a batching front-end that gathers several
-    payloads into one slot.  All three are thread-safe.
+    :meth:`submit`, plus :meth:`submit_parts` for a batching front-end that
+    gathers several payloads into one slot.  Both are thread-safe and
+    return an owned read-only array; the slot is free again on return.
     """
 
     #: how long a submitter waits for a free slot before giving up
@@ -518,20 +481,13 @@ class ProcPoolExecutor:
 
     # ------------------------------------------------------------- serving
     def submit(self, model: str, inputs: np.ndarray, *, trace=None) -> np.ndarray:
-        """Serve one batch and return an owned copy of the outputs."""
-        lease = self.submit_lease(model, inputs, trace=trace)
-        try:
-            return np.array(lease.outputs, copy=True)
-        finally:
-            lease.release()
-
-    def submit_lease(self, model: str, inputs: np.ndarray, *, trace=None) -> PoolLease:
-        """Serve one batch; the result stays pinned in its slot until released."""
+        """Serve one batch; returns the outputs (owned, read-only)."""
         return self.submit_parts(model, [inputs], trace=trace)
 
     def submit_parts(self, model: str, parts: Sequence[np.ndarray], *,
-                     trace=None, raw: bool = False) -> PoolLease:
-        """Gather ``parts`` into one slot, dispatch, wait, lease the result.
+                     trace=None, raw: bool = False) -> np.ndarray:
+        """Gather ``parts`` into one slot, dispatch, wait, copy the result
+        out and free the slot.
 
         With ``raw=True`` the parts are *raw app payload items* (shape
         :meth:`raw_item_shape`, one DNN row each); the worker process runs
@@ -611,16 +567,17 @@ class ProcPoolExecutor:
             self._waiters.pop(slot, None)
         _seq, state, _model, _rows, _flags, _worker = _unpack_header(buf, base)
         if state == STATE_DONE:
+            out = np.ndarray((rows,) + meta.out_shape, dtype=np.float32,
+                             buffer=buf, offset=base + self._out_off).copy()
+            out.flags.writeable = False
+            self._release_slot(slot)
             if trace is not None and self.tracer.enabled:
                 trace_id, parent_id = trace
                 self.tracer.add_span(
                     "net.forward", start, self.clock(), trace_id, parent_id,
                     category="compute", model=model, batch_size=rows,
                     executor="proc")
-            out = np.ndarray((rows,) + meta.out_shape, dtype=np.float32,
-                             buffer=buf, offset=base + self._out_off)
-            out.flags.writeable = False
-            return PoolLease(self, slot, out)
+            return out
         if state == STATE_ERROR:
             message = _read_error(buf, base)
             self._release_slot(slot)

@@ -381,14 +381,6 @@ class DjinnServer(TcpServiceBase):
         the original fixed batching path.  Independently of ``sched``,
         requests arriving with an already-spent deadline budget are
         answered with a typed DEADLINE_EXCEEDED frame on every serve path.
-    stream_apps:
-        Optional dict mapping model name to a streaming-app factory
-        ``factory(net, dnn) -> app`` (``app`` implements ``feed``/
-        ``finish``, see :class:`repro.core.session.TensorStreamApp`).
-        Models without an entry stream through the generic tensor app;
-        a model named ``"asr"`` whose shape fits the acoustic pipeline
-        gets the incremental ASR decoder
-        (:class:`repro.tonic.asr.AsrStream`) automatically.
     session_limit / session_idle_s:
         Bounds on the stream session table: at most ``session_limit``
         concurrently open streams (opens past it are rejected with a typed
@@ -431,7 +423,6 @@ class DjinnServer(TcpServiceBase):
         workers=None,
         worker_fault_plan=None,
         sched=None,
-        stream_apps=None,
         session_limit: int = 64,
         session_idle_s: float = 30.0,
         apps=None,
@@ -487,7 +478,6 @@ class DjinnServer(TcpServiceBase):
             "Stream chunks accepted, per model.", ("model",))
         self._stream_sessions = self.metrics.gauge(
             "djinn_stream_sessions", "Currently open stream sessions.")
-        self._stream_apps = dict(stream_apps) if stream_apps else {}
         #: explicit app table for APP_REQUEST serving; defaults are
         #: merged in lazily on first use (models may register after init)
         self._apps = dict(apps) if apps else {}
@@ -612,85 +602,71 @@ class DjinnServer(TcpServiceBase):
                           "backend.app" if is_app else "backend.infer",
                           "backend") as ctx:
             start, deadline_s = ctx.start, ctx.deadline_s
-            lease = None
+            delivered = 0.0
             try:
-                try:
-                    net, inputs, app, raw = self._prepare(request)
-                    if deadline_s is not None and clock() >= deadline_s:
-                        # dead on arrival: reject on every serve path (the
-                        # scheduler handles in-queue expiry; this covers the
-                        # bare and pool paths, and budgets spent in transit)
-                        now = clock()
-                        self._sched_expired.labels(model=name or "?").inc()
-                        ctx.add_span(
-                            "sched.expire", start, now, "sched", model=name,
-                            late_ms=round((now - deadline_s) * 1e3, 3))
-                        raise DeadlineExceededError(name, now - deadline_s)
-                    pre_end = clock()
-                    if self._executor is self._pool:  # no batching executor
-                        result, lease = self._run_inline(
-                            ctx, net, inputs, app, raw)
-                    else:
-                        qos = None
-                        if request.has_qos:
-                            qos = (deadline_s if deadline_s is not None
-                                   else float("inf"),
-                                   request.priority, request.tenant)
-                        if is_app:
-                            result = self._executor.submit_app(
-                                name, app, raw, trace=ctx.trace, qos=qos)
-                        else:
-                            # zero-copy: serialize the response straight
-                            # from the batch output (a plan's output slab,
-                            # or a shm response slot on the proc-pool
-                            # path), releasing the lease only after the send
-                            lease = self._lease_rows(name, inputs, ctx.trace,
-                                                     qos)
-                            result = lease.outputs
-                except (DeadlineExceededError, KeyError, ValueError) as exc:
-                    self._safe_send(conn, self._refusal(ctx, exc))
-                    return
-                finish = clock()
-                # the prepare window is accounted now, inside the respond
-                # window, not in the gap between it and the dispatch
-                self._stage_seconds.labels(
-                    model=name, stage="preprocess").inc(pre_end - start)
-                ctx.add_span("preprocess", start, pre_end, "backend",
-                             model=name)
-                # respond starts when the executor handed the result over:
-                # the worker's delivery stamp when available (the gap up to
-                # ``finish`` is this thread waking up, part of responding)
-                respond_start = finish
-                if lease is not None:
-                    delivered = getattr(lease, "delivered_s", 0.0)
-                    if 0.0 < delivered < finish:
-                        respond_start = delivered
-                self.stats.record(
-                    name, finish - start, inputs=1 if is_app else len(inputs),
-                    exemplar=ctx.exemplar)
-                if deadline_s is not None:
-                    self._record_slo(
-                        name, "met" if finish <= deadline_s else "missed")
-                if is_app:
-                    reply = ctx.reply(
-                        MessageType.APP_RESPONSE, name=name,
-                        text=json.dumps(tonic_serve.jsonable_result(result)),
-                        payload_kind=KIND_TEXT)
+                net, inputs, app, raw = self._prepare(request)
+                if deadline_s is not None and clock() >= deadline_s:
+                    # dead on arrival: reject on every serve path (the
+                    # scheduler handles in-queue expiry; this covers the
+                    # bare and pool paths, and budgets spent in transit)
+                    now = clock()
+                    self._sched_expired.labels(model=name or "?").inc()
+                    ctx.add_span(
+                        "sched.expire", start, now, "sched", model=name,
+                        late_ms=round((now - deadline_s) * 1e3, 3))
+                    raise DeadlineExceededError(name, now - deadline_s)
+                pre_end = clock()
+                if self._executor is self._pool:  # no batching executor
+                    result = self._run_inline(ctx, net, inputs, app, raw)
                 else:
-                    reply = ctx.reply(MessageType.INFER_RESPONSE, name=name,
-                                      tensor=result)
-                self._safe_send(conn, reply)
-                send_end = clock()
-                # respond covers everything after the forward: accounting,
-                # response serialization (straight from the lease's slab on
-                # the zero-copy path), and the socket send
-                self._stage_seconds.labels(
-                    model=name, stage="respond").inc(send_end - respond_start)
-                ctx.add_span("backend.respond", respond_start, send_end,
-                             "network")
-            finally:
-                if lease is not None:
-                    lease.release()
+                    qos = None
+                    if request.has_qos:
+                        qos = (deadline_s if deadline_s is not None
+                               else float("inf"),
+                               request.priority, request.tenant)
+                    if is_app:
+                        result = self._executor.submit_app(
+                            name, app, raw, trace=ctx.trace, qos=qos)
+                    else:
+                        # the served request itself, for its delivery stamp
+                        served = self._executor._submit(
+                            name, inputs, ctx.trace, qos)
+                        result, delivered = served.result, served.delivered_s
+            except (DeadlineExceededError, KeyError, ValueError) as exc:
+                self._safe_send(conn, self._refusal(ctx, exc))
+                return
+            finish = clock()
+            # the prepare window is accounted now, inside the respond
+            # window, not in the gap between it and the dispatch
+            self._stage_seconds.labels(
+                model=name, stage="preprocess").inc(pre_end - start)
+            ctx.add_span("preprocess", start, pre_end, "backend", model=name)
+            # respond starts when the executor handed the result over: the
+            # worker's delivery stamp when available (the gap up to
+            # ``finish`` is this thread waking up, part of responding)
+            respond_start = delivered if 0.0 < delivered < finish else finish
+            self.stats.record(
+                name, finish - start, inputs=1 if is_app else len(inputs),
+                exemplar=ctx.exemplar)
+            if deadline_s is not None:
+                self._record_slo(
+                    name, "met" if finish <= deadline_s else "missed")
+            if is_app:
+                reply = ctx.reply(
+                    MessageType.APP_RESPONSE, name=name,
+                    text=json.dumps(tonic_serve.jsonable_result(result)),
+                    payload_kind=KIND_TEXT)
+            else:
+                reply = ctx.reply(MessageType.INFER_RESPONSE, name=name,
+                                  tensor=result)
+            self._safe_send(conn, reply)
+            send_end = clock()
+            # respond covers everything after the forward: accounting,
+            # response serialization and the socket send
+            self._stage_seconds.labels(
+                model=name, stage="respond").inc(send_end - respond_start)
+            ctx.add_span("backend.respond", respond_start, send_end,
+                         "network")
 
     def _refusal(self, ctx: UnaryContext, exc: Exception) -> Message:
         """The one exception → frame table of the unary path.
@@ -710,27 +686,24 @@ class DjinnServer(TcpServiceBase):
         self._errors.labels(model=name or "?", reason=reason).inc()
         return ctx.reply(MessageType.ERROR, text=str(exc))
 
-    def _lease_rows(self, name: str, rows: np.ndarray, trace=None, qos=None):
+    def _submit_rows(self, name: str, rows: np.ndarray, trace=None):
         """Run ``rows`` on whatever executes forwards here; ``None`` means
         forward them in-parent: bare threaded serving, or a single request
         larger than a bare pool's slot envelope (served on the legacy path
-        rather than failed).  The bare pool has no queue to schedule, so
-        only a batching executor takes ``qos``."""
+        rather than failed)."""
         if self._executor is not self._pool:
-            return self._executor.submit_lease(name, rows, trace=trace, qos=qos)
+            return self._executor.submit(name, rows, trace=trace)
         if self._pool is None or len(rows) > self._pool.max_batch:
             return None
-        return self._pool.submit_lease(name, rows, trace=trace)
+        return self._pool.submit(name, rows, trace=trace)
 
     def _run_inline(self, ctx: UnaryContext, net, inputs, app, raw):
-        """Bare serving on this connection's thread: ``(result, lease)``.
+        """Bare serving on this connection's thread; returns the result.
 
         Optional preprocess → forward (a bare pool's slot ring when the
         rows fit, else ``net.forward``) → optional postprocess, each
         accounted as its stage.  The service floor is anchored at this
-        routine's own start, as the executor anchors at ``rec.start``.  An
-        app's answer is an owned object, so only a tensor result comes back
-        with a slot lease still to release.
+        routine's own start, as the executor anchors at ``rec.start``.
         """
         clock = self._clock
         name = ctx.request.name
@@ -746,15 +719,9 @@ class DjinnServer(TcpServiceBase):
                          rows=len(inputs))
             self._check_shape(name, net, inputs)
         forward_start = clock()
-        lease = self._lease_rows(name, inputs, ctx.trace)
-        if lease is not None:
-            # the pool recorded its own net.forward span; an app's rows are
-            # copied out so its postprocess holds no slot
-            outputs = lease.outputs
-            if app is not None:
-                with lease:
-                    outputs = np.array(outputs, copy=True)
-                lease = None
+        # the pool records its own net.forward span
+        outputs = self._submit_rows(name, inputs, ctx.trace)
+        if outputs is not None:
             forward_end = clock()
         else:
             timer = (LayerTimer(clock)
@@ -772,13 +739,13 @@ class DjinnServer(TcpServiceBase):
         stage.labels(model=name, stage="net.forward").inc(
             forward_end - forward_start)
         if app is None:
-            return outputs, lease
+            return outputs
         post_start = clock()
         result = app.postprocess(outputs, raw)
         post_end = clock()
         stage.labels(model=name, stage="postprocess").inc(post_end - post_start)
         ctx.add_span("app.postprocess", post_start, post_end, "app", model=name)
-        return result, None
+        return result
 
     # ------------------------------------------------------------ streaming
     def _stream_dnn(self, name: str, net) -> Callable:
@@ -786,32 +753,22 @@ class DjinnServer(TcpServiceBase):
 
         Chunks ride the same executor as unary traffic — with batching
         armed they enter the shared (EDF when scheduled) queues as small
-        batches and coalesce with whatever else is in flight; the result is
-        copied out because stream decode outlives the lease.
+        batches and coalesce with whatever else is in flight.
         """
         def dnn(batch: np.ndarray) -> np.ndarray:
-            lease = self._lease_rows(name, batch)
-            if lease is None:
-                return net.forward(batch)
-            try:
-                return np.array(lease.outputs, copy=True)
-            finally:
-                lease.release()
+            outputs = self._submit_rows(name, batch)
+            return net.forward(batch) if outputs is None else outputs
         return dnn
 
     def _stream_app_for(self, name: str):
         """Instantiate the streaming application for one stream of ``name``.
 
-        Explicit ``stream_apps`` factories win; a model named ``"asr"``
-        with the acoustic pipeline's 440-dim input gets the incremental
-        ASR decoder; everything else streams through the generic
-        :class:`TensorStreamApp`.
+        A model named ``"asr"`` with the acoustic pipeline's 440-dim input
+        gets the incremental ASR decoder; everything else streams through
+        the generic :class:`TensorStreamApp`.
         """
         net = self.registry.get(name)  # KeyError -> unknown model
         dnn = self._stream_dnn(name, net)
-        factory = self._stream_apps.get(name)
-        if factory is not None:
-            return factory(net, dnn)
         if name == "asr" and tuple(net.input_shape) == (440,):
             from ..tonic.app import LocalBackend
             from ..tonic.asr import AsrApp, AsrStream

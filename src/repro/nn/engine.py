@@ -52,8 +52,8 @@ byte-identical to the allocating ``forward`` — the equivalence suite in
 
 Thread safety: a plan is one arena, so callers must hold :attr:`lock` around
 gather + execute + result consumption.  ``run``, ``run_into`` and
-:class:`repro.core.BatchingExecutor` all do; the latter keeps the lock until
-every response view has been serialized (its lease barrier).
+:class:`repro.core.BatchingExecutor` all do; the latter copies each batch's
+output out of the arena before it lets the lock go.
 """
 
 from __future__ import annotations
@@ -449,7 +449,7 @@ class ExecutionPlan:
         """Gather ``x`` into the arena, execute, return an owned copy.
 
         The safe single-caller surface (and the tests' planned reference);
-        the copy-free path (views + lease barrier) lives in
+        the serving path, which copies once per coalesced batch, lives in
         :class:`repro.core.BatchingExecutor`.
         """
         x = np.asarray(x, dtype=np.float32)

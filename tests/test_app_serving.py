@@ -164,9 +164,9 @@ class TestBatch1FastPath:
     def test_idle_submit_takes_fast_path(self, executor, registry, rng):
         x = rng.normal(size=(1, 1, 32, 32)).astype(np.float32)
         before = self._hits(executor)
-        with executor.submit_lease("dig", x) as lease:
-            np.testing.assert_allclose(
-                lease.outputs, registry.get("dig").forward(x), rtol=1e-5)
+        np.testing.assert_allclose(
+            executor.submit("dig", x), registry.get("dig").forward(x),
+            rtol=1e-5)
         assert self._hits(executor) == before + 1
 
     def test_app_submit_takes_fast_path(self, executor, registry, dig_raw):
@@ -180,17 +180,17 @@ class TestBatch1FastPath:
         executor._fast_off.add("dig")
         x = rng.normal(size=(1, 1, 32, 32)).astype(np.float32)
         before = self._hits(executor)
-        with executor.submit_lease("dig", x) as lease:
-            np.testing.assert_allclose(
-                lease.outputs, registry.get("dig").forward(x), rtol=1e-5)
+        np.testing.assert_allclose(
+            executor.submit("dig", x), registry.get("dig").forward(x),
+            rtol=1e-5)
         assert self._hits(executor) == before  # no fast hit: slot ring path
 
     def test_oversize_batch_misses_fast_path(self, executor, registry, rng):
         x = rng.normal(size=(9, 1, 32, 32)).astype(np.float32)  # > max_batch
         before = self._hits(executor)
-        with executor.submit_lease("dig", x) as lease:
-            np.testing.assert_allclose(
-                lease.outputs, registry.get("dig").forward(x), rtol=1e-5)
+        np.testing.assert_allclose(
+            executor.submit("dig", x), registry.get("dig").forward(x),
+            rtol=1e-5)
         assert self._hits(executor) == before
 
     def test_service_floor_disables_fast_path(self, registry, rng):
@@ -200,17 +200,16 @@ class TestBatch1FastPath:
                               metrics=MetricsRegistry())
         try:
             x = rng.normal(size=(1, 1, 32, 32)).astype(np.float32)
-            with ex.submit_lease("dig", x) as lease:
-                assert lease.outputs.shape == (1, 10)
+            assert ex.submit("dig", x).shape == (1, 10)
             assert ex._fast_hits.labels(model="dig").value == 0
         finally:
             ex.close()
 
     def test_fast_path_result_is_read_only(self, executor, rng):
         x = rng.normal(size=(1, 1, 32, 32)).astype(np.float32)
-        with executor.submit_lease("dig", x) as lease:
-            with pytest.raises(ValueError):
-                lease.outputs[0, 0] = 1.0
+        out = executor.submit("dig", x)
+        with pytest.raises(ValueError):
+            out[0, 0] = 1.0
 
 
 # ------------------------------------------------------------- proc pool raw
@@ -239,11 +238,8 @@ class TestPoolRawDispatch:
         exactly."""
         app = DigApp(backend=None)
         expected = pool_registry.get("dig").forward(app.preprocess(dig_raw))
-        lease = pool.submit_parts("dig", [dig_raw], raw=True)
-        try:
-            np.testing.assert_array_equal(lease.outputs, expected)
-        finally:
-            lease.release()
+        np.testing.assert_array_equal(
+            pool.submit_parts("dig", [dig_raw], raw=True), expected)
 
     def test_raw_dispatch_needs_raw_shape(self, pool, rng):
         with pytest.raises(ValueError, match="raw"):

@@ -156,9 +156,8 @@ def _submit(executor, kind, payload, trace=None):
     if kind == "app":
         answer = executor.submit_app(MODEL, DIG_APP, payload, trace=trace)
         return answer, time.monotonic() - start
-    with executor.submit_lease(MODEL, payload, trace=trace) as lease:
-        wall = time.monotonic() - start
-        return lease.outputs.copy(), wall
+    answer = executor.submit(MODEL, payload, trace=trace)
+    return answer, time.monotonic() - start
 
 
 @pytest.mark.parametrize("cache", [False, True], ids=["plain", "layer_cache"])
@@ -179,7 +178,7 @@ def test_both_callers_account_a_request_alike(registry, raws, kind, cache):
         if caller == "worker":
             executor._fast_off.add(MODEL)
         # 8-row requests: the forward dwarfs the few microseconds either
-        # caller spends outside any stage (call entry, lease hand-off)
+        # caller spends outside any stage (call entry, result hand-off)
         payloads = ([np.roll(raws, i, axis=0) for i in range(6)]
                     if kind == "app"
                     else [_tensor(20 + i, rows=8) for i in range(6)])
@@ -230,7 +229,7 @@ def test_executed_batches_is_bounded(registry):
     x = _tensor(9)
     try:
         for _ in range(10_000):
-            executor.submit_lease(MODEL, x).release()
+            executor.submit(MODEL, x)
         sizes = executor.executed_batches[MODEL]
         assert len(sizes) == executor.EXECUTED_WINDOW < 10_000
         assert set(sizes) == {1}

@@ -486,7 +486,12 @@ class TestExecutorPlannedPath:
         try:
             out = executor.submit("dig", x)
             np.testing.assert_array_equal(out, net.forward(x))
-            out[0, 0] = 123.0  # submit() hands back an owned copy
+            # submit() hands back an owned read-only copy: the next batch
+            # rewrites the arena, not this result
+            with pytest.raises(ValueError):
+                out[0, 0] = 123.0
+            executor.submit("dig", x * 2.0)
+            np.testing.assert_array_equal(out, net.forward(x))
         finally:
             executor.close()
 
@@ -520,18 +525,19 @@ class TestExecutorPlannedPath:
         finally:
             executor.close()
 
-    def test_lease_is_readonly_view_and_release_unblocks(self, registry):
+    def test_result_is_readonly_and_survives_arena_reuse(self, registry):
         net = registry.get("dig")
         x = batch_for(net, 2, 41)
         executor = BatchingExecutor(registry, BatchPolicy(max_batch=4,
                                                           timeout_ms=1.0))
         try:
-            with executor.submit_lease("dig", x) as lease:
-                assert not lease.outputs.flags.writeable
-                np.testing.assert_array_equal(lease.outputs, net.forward(x))
-            # after release the worker reuses the arena freely
+            out = executor.submit("dig", x)
+            assert not out.flags.writeable
+            np.testing.assert_array_equal(out, net.forward(x))
+            # the next batch reuses the arena; the first result is owned
             out2 = executor.submit("dig", x * 2.0)
             np.testing.assert_array_equal(out2, net.forward(x * 2.0))
+            np.testing.assert_array_equal(out, net.forward(x))
         finally:
             executor.close()
 

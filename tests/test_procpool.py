@@ -41,7 +41,6 @@ from repro.core import (
     DjinnClient,
     DjinnServer,
     ModelRegistry,
-    PoolLease,
     ProcPoolError,
     ProcPoolExecutor,
     parse_workers,
@@ -180,23 +179,21 @@ class TestSubmitSurface:
         rng = np.random.default_rng(INPUT_SEED + 2)
         parts = [rng.normal(size=(n,) + net.input_shape).astype(np.float32)
                  for n in (1, 2, 1)]
-        with pool.submit_parts("pos", parts) as lease:
-            expected = net.forward(np.concatenate(parts, axis=0))
-            assert lease.outputs.tobytes() == expected.tobytes()
+        out = pool.submit_parts("pos", parts)
+        expected = net.forward(np.concatenate(parts, axis=0))
+        assert out.tobytes() == expected.tobytes()
 
-    def test_lease_views_are_read_only_and_expire(self, zoo_registry, pool):
+    def test_results_are_read_only_and_free_their_slot(self, zoo_registry,
+                                                       pool):
         net = zoo_registry.get("pos")
         x = np.full((1,) + net.input_shape, 0.5, np.float32)
-        lease = pool.submit_lease("pos", x)
-        assert isinstance(lease, PoolLease)
-        out = lease.outputs
+        out = pool.submit("pos", x)
         assert not out.flags.writeable
         with pytest.raises(ValueError):
             out[...] = 0.0
-        lease.release()
-        lease.release()  # idempotent
-        with pytest.raises(RuntimeError, match="released"):
-            _ = lease.outputs
+        np.testing.assert_array_equal(out, net.forward(x))
+        # the result is owned: the slot went back before submit returned
+        assert pool._free.qsize() == pool._layout["slots"]
 
 
 # ----------------------------------------------------- read-only weights

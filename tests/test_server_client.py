@@ -10,6 +10,7 @@ from repro.core import (
     DjinnClient,
     DjinnServer,
     DjinnServiceError,
+    MessageType,
     ModelRegistry,
     RemoteBackend,
 )
@@ -106,6 +107,76 @@ class TestConcurrency:
             for i in range(6):
                 expected = registry.get("pos").forward(np.full((1, 300), float(i), np.float32))
                 np.testing.assert_allclose(outs[i], expected, rtol=1e-5)
+
+
+class TestStuckSend:
+    """A reply stuck in its socket send holds no model resource: the plan
+    lock and the pool slot are back before the reply is encoded."""
+
+    @staticmethod
+    def _gate_first_reply(server):
+        """Block the server's first INFER_RESPONSE send until ``gate`` is
+        set; ``entered`` fires once that send is stuck."""
+        entered, gate = threading.Event(), threading.Event()
+        send, claim = server._safe_send, threading.Lock()
+
+        def gated_send(conn, message):
+            if (message.type == MessageType.INFER_RESPONSE
+                    and claim.acquire(blocking=False)):  # first reply only
+                entered.set()
+                gate.wait(10.0)
+            send(conn, message)
+
+        server._safe_send = gated_send
+        return entered, gate
+
+    @staticmethod
+    def _infer_async(server, x):
+        box = {}
+
+        def run():
+            with DjinnClient(*server.address) as cli:
+                box["out"] = cli.infer("dig", x)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return thread, box
+
+    def _check_b_answers_while_a_is_stuck(self, server, net, rng, stuck):
+        x = rng.normal(size=(1,) + tuple(net.input_shape)).astype(np.float32)
+        entered, gate = self._gate_first_reply(server)
+        a, a_box = self._infer_async(server, x)
+        try:
+            assert entered.wait(10.0)  # A's reply is stuck in its send
+            stuck()
+            b, b_box = self._infer_async(server, x)
+            b.join(1.0)
+            assert "out" in b_box, "B waited on the model A's stuck reply holds"
+        finally:
+            gate.set()
+            a.join(10.0)
+        np.testing.assert_allclose(b_box["out"], net.forward(x), rtol=1e-5)
+        np.testing.assert_allclose(a_box["out"], net.forward(x), rtol=1e-5)
+
+    def test_stuck_reply_does_not_hold_the_plan(self, registry, rng):
+        """With ``max_batch=1`` the fast path's plan is also the worker's
+        envelope plan: a reply holding it would wedge the model."""
+        with DjinnServer(registry, batching=BatchPolicy(
+                max_batch=1, timeout_ms=0)) as server:
+            self._check_b_answers_while_a_is_stuck(
+                server, registry.get("dig"), rng, lambda: None)
+
+    def test_stuck_reply_holds_no_pool_slot(self, rng):
+        reg = ModelRegistry()
+        reg.register_spec("dig", lenet5(), seed=0)
+        with DjinnServer(reg, workers="proc:2") as server:
+            pool = server._pool
+
+            def every_slot_free():
+                assert pool._free.qsize() == pool._layout["slots"]
+
+            self._check_b_answers_while_a_is_stuck(
+                server, reg.get("dig"), rng, every_slot_free)
 
 
 class TestLifecycle:
