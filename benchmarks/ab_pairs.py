@@ -24,11 +24,18 @@ pairs (10/10 reads 0.002, 9/10 reads 0.021), and every pair's change/ref
 ratio.  A gain is resolved when the change wins at least nine pairs in ten
 and the medians differ by more than the reference's own quartile span.
 
+Under each table a ``host`` line gives both sides' medians of the host
+figures every run prints on its ``env:`` line (``host.calib_ms``, the
+fixed-work calibration time, and ``host.steal_share``): within a pair set
+host drift lands on both sides, but from one day to the next it is the
+only way to tell a slower host from slower code.
+
 ``--record PATH`` appends one JSON line per workload and metric to PATH
 (the committed trajectory is ``benchmarks/results/BENCH_history.jsonl``):
 the resolved ref, the change (``git rev-parse HEAD``, or ``"worktree"``
-when the code the benchmark runs has uncommitted edits), the workload, the
-metric, both medians and quartile spans, wins, non-tied n and p.
+when the code the benchmark runs has uncommitted edits), the workload,
+both sides' host medians, the metric, both medians and quartile spans,
+wins, non-tied n and p.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 RUN_PY = Path("benchmarks") / "djinn_bench" / "run.py"
+#: host figures each run's ``env:`` line carries, one value per round
+HOST_KEYS = ("host.calib_ms", "host.steal_share")
 
 
 def export_ref(ref: str, into: Path) -> None:
@@ -72,7 +81,39 @@ def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
         sys.exit(f"ab_pairs: no result line from {tree} (exit "
                  f"{proc.returncode}):\n{proc.stdout}\n{proc.stderr}")
     result["exit"] = proc.returncode
+    result["host"] = host_env(lines)
     return result
+
+
+def host_env(lines) -> dict:
+    """The run's :data:`HOST_KEYS`, each the median over its rounds, from
+    its ``env:`` line (empty when it printed none)."""
+    for line in lines:
+        if line.startswith("env: "):
+            env = json.loads(line[len("env: "):])
+            return {key: statistics.median(env[key])
+                    for key in HOST_KEYS if env.get(key)}
+    return {}
+
+
+def host_medians(runs: dict) -> dict:
+    """``{side: {key: median over that side's runs}}``."""
+    return {side: {key: statistics.median(values) for key in HOST_KEYS
+                   if (values := [run["host"][key] for run in side_runs
+                                  if key in run.get("host", {})])}
+            for side, side_runs in runs.items()}
+
+
+def host_line(host: dict) -> str:
+    """Both sides' host medians, and how far the change side drifted."""
+    parts = []
+    for key in HOST_KEYS:
+        ref, change = host["ref"].get(key), host["change"].get(key)
+        if ref is None or change is None:
+            continue
+        drift = f" (x{change / ref:.3f})" if ref else ""
+        parts.append(f"{key} ref {ref:.4f} change {change:.4f}{drift}")
+    return "host: " + ("  ".join(parts) if parts else "no env line")
 
 
 def quartiles(values):
@@ -194,7 +235,8 @@ def report(workload: str, runs: dict, better: dict, args) -> dict:
     attempted = {side: sum(run["attempted"] for run in runs[side])
                  for side in runs}
     print("failed operations: " + "  ".join(
-        f"{side} {failed[side]}/{attempted[side]}" for side in runs), flush=True)
+        f"{side} {failed[side]}/{attempted[side]}" for side in runs))
+    print(host_line(host_medians(runs)), flush=True)
     return stats
 
 
@@ -216,7 +258,8 @@ def main(argv=None) -> int:
                 record(args.record,
                        {"ref": git("rev-parse", args.ref), "change": change_id(),
                         "workload": workload, "trace": args.trace,
-                        "first_seed": args.first_seed, "pairs": args.pairs},
+                        "first_seed": args.first_seed, "pairs": args.pairs,
+                        "host": host_medians(runs)},
                        stats)
             if any(run["exit"] for side in runs for run in runs[side]):
                 status = 1

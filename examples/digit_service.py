@@ -71,7 +71,11 @@ def main() -> None:
                   f"({500 / elapsed:,.0f} digits/s over TCP)")
             print(f"accuracy through the service: {acc:.3f} "
                   f"(paper's bar for the MNIST task: >0.98)")
-            print("service stats:", client.stats()["dig"])
+            # the server's ledger, summarized from its METRICS dump
+            dig = client.stats()["dig"]
+            print(f"service stats: {dig['requests']:.0f} requests, "
+                  f"{dig['inputs']:.0f} digits, mean {dig['mean_ms']:.2f} ms, "
+                  f"p95 {dig['p95_ms']:.2f} ms")
             assert acc > 0.97
 
 

@@ -75,7 +75,7 @@ def main() -> None:
                 print(f"  {task}: {hit / total:.3f}")
                 assert hit / total > 0.89
 
-            stats = client.stats()
+            stats = client.stats()  # the server's ledger, from METRICS
             print(f"\nservice requests: pos={stats['pos']['requests']:.0f} "
                   f"chk={stats['chk']['requests']:.0f} ner={stats['ner']['requests']:.0f}")
             print("(pos count exceeds chk's own queries: CHK chains POS, paper §3.2.3)")

@@ -54,8 +54,13 @@ def main() -> None:
             tags = pos.run(sentence)
             print("\nPOS:", " ".join(f"{w}/{t}" for w, t in zip(sentence.words, tags)))
 
-            # 5. The service kept score.
-            print("\nservice stats:", client.stats())
+            # 5. The service kept score: one ledger entry per request,
+            #    summarized from its METRICS dump.
+            print("\nservice stats:")
+            for model, s in sorted(client.stats().items()):
+                print(f"  {model}: {s['requests']:.0f} requests, "
+                      f"{s['inputs']:.0f} inputs, p50 {s['p50_ms']:.2f} ms, "
+                      f"p99 {s['p99_ms']:.2f} ms, max {s['max_ms']:.2f} ms")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from .protocol import Message, MessageType, ProtocolError, recv_message, send_me
 from .registry import ModelRegistry
 from .server import DjinnServer
 from .session import SessionLimitError, SessionManager, TensorStreamApp
-from .stats import ServiceStats
+from .stats import RequestLedger
 
 __all__ = [
     "BatchingExecutor",
@@ -55,7 +55,7 @@ __all__ = [
     "send_message",
     "ModelRegistry",
     "DjinnServer",
-    "ServiceStats",
+    "RequestLedger",
     "LoadResult",
     "run_closed_loop_load",
 ]

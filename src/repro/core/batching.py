@@ -75,7 +75,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..nn.engine import ExecutionPlan, LayerCache, LayerCacheConfig, PlanError
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import ChildMap, MetricsRegistry
 from ..obs.profile import LayerTimer
 from ..obs.trace import Tracer, get_tracer
 from ..sched import (
@@ -238,34 +238,34 @@ class BatchingExecutor:
         self._stage_seconds = self._fast_hits = None
         self._layer_cache_events = self._layer_cache_fidelity = None
         if metrics is not None:
-            self._batch_size = metrics.histogram(
+            self._batch_size = ChildMap(metrics.histogram(
                 "djinn_batch_size",
                 "Inputs per executed forward pass, per model.",
-                ("model",), buckets=BATCH_SIZE_BUCKETS)
-            self._expired = metrics.counter(
+                ("model",), buckets=BATCH_SIZE_BUCKETS))
+            self._expired = ChildMap(metrics.counter(
                 "djinn_sched_expired_total",
                 "Requests rejected in queue: deadline expired before forward.",
-                ("model",))
-            self._stage_seconds = metrics.counter(
+                ("model",)))
+            self._stage_seconds = ChildMap(metrics.counter(
                 "djinn_stage_seconds_total",
                 "Request-weighted seconds spent per serving stage, per model.",
-                ("model", "stage"))
-            self._fast_hits = metrics.counter(
+                ("model", "stage")))
+            self._fast_hits = ChildMap(metrics.counter(
                 "djinn_fast_path_total",
                 "Requests served by the batch-1 fast path (no queue handoff).",
-                ("model",))
+                ("model",)))
             self.latency.seed_from_metrics(metrics)
             if layer_cache is not None:
                 # registered only when the cache is armed so a cache-off
                 # executor's metrics dump stays byte-identical to older builds
-                self._layer_cache_events = metrics.counter(
+                self._layer_cache_events = ChildMap(metrics.counter(
                     "djinn_layer_cache_events_total",
                     "Layer-cache probe outcomes, per model and event "
-                    "(hit|miss|collision).", ("model", "event"))
-                self._layer_cache_fidelity = metrics.gauge(
+                    "(hit|miss|collision).", ("model", "event")))
+                self._layer_cache_fidelity = ChildMap(metrics.gauge(
                     "djinn_layer_cache_fidelity",
                     "Worst accepted hit distance (max |cached - probed| over "
-                    "the split activation), per model.", ("model",))
+                    "the split activation), per model.", ("model",)))
         self._queues: Dict[str, Queue] = {}
         self._workers: Dict[str, threading.Thread] = {}
         self._lock = threading.Lock()
@@ -455,7 +455,7 @@ class BatchingExecutor:
             pending.error = DeadlineExceededError(model, late)
             pending.event.set()
         if self._expired is not None:
-            self._expired.labels(model=model).inc(len(expired))
+            self._expired[model].inc(len(expired))
 
     def _collect_sched(self, model: str,
                        queue: EdfQueue) -> Tuple[List[_Pending], float]:
@@ -738,9 +738,9 @@ class BatchingExecutor:
                                 model=model)
         stage = self._stage_seconds
         if stage is not None:
-            self._batch_size.labels(model=model).observe(rows)
+            self._batch_size[model].observe(rows)
             if rec.inline:
-                self._fast_hits.labels(model=model).inc()
+                self._fast_hits[model].inc()
             else:
                 queue_s = wait_s = 0.0
                 for p in batch:
@@ -752,26 +752,23 @@ class BatchingExecutor:
                         waited -= policy
                     queue_s += waited
                 if wait_s > 0:
-                    stage.labels(model=model, stage="sched.wait").inc(wait_s)
-                stage.labels(model=model, stage="backend.queue").inc(queue_s)
+                    stage[model, "sched.wait"].inc(wait_s)
+                stage[model, "backend.queue"].inc(queue_s)
             pre_s = sum(p.pre_end - p.pre_start for p in batch)
             if pre_s:
-                stage.labels(model=model, stage="preprocess").inc(pre_s)
+                stage[model, "preprocess"].inc(pre_s)
             if served is not None:
-                stage.labels(model=model, stage="engine.cache").inc(
-                    probe_s * n)
+                stage[model, "engine.cache"].inc(probe_s * n)
                 events = self._layer_cache_events
                 for event, count in (("hit", served.hits),
                                      ("miss", served.misses),
                                      ("collision", served.collisions)):
                     if count:
-                        events.labels(model=model, event=event).inc(count)
-                self._layer_cache_fidelity.labels(model=model).set(
-                    served.fidelity_max)
-            stage.labels(model=model, stage="net.forward").inc(
-                (forward_s - probe_s) * n)
+                        events[model, event].inc(count)
+                self._layer_cache_fidelity[model].set(served.fidelity_max)
+            stage[model, "net.forward"].inc((forward_s - probe_s) * n)
             if rec.app_end:
-                stage.labels(model=model, stage="postprocess").inc(
+                stage[model, "postprocess"].inc(
                     (rec.app_end - rec.app_start)
                     * sum(1 for p in batch if p.app is not None))
         delivered = self.clock()
@@ -787,7 +784,7 @@ class BatchingExecutor:
                                 tid, parent, category="batch",
                                 batch_size=rows)
         if stage is not None:
-            stage.labels(model=model, stage="batch.assemble").inc(
+            stage[model, "batch.assemble"].inc(
                 ((rec.forward_start - rec.start)
                  + (delivered - rec.post_start)
                  - (rec.app_end - rec.app_start)) * n)

@@ -22,6 +22,7 @@ from .protocol import (
     ProtocolError,
     send_message,
 )
+from .stats import summarize
 
 __all__ = [
     "DjinnClient",
@@ -361,8 +362,9 @@ class DjinnClient:
         return [name for name in response.text.split("\n") if name]
 
     def stats(self) -> Dict[str, Dict[str, float]]:
-        response = self._roundtrip(Message(MessageType.STATS_REQUEST))
-        return json.loads(response.text) if response.text else {}
+        """Per-model request summary — requests, inputs, mean/p50/p95/p99/max
+        ms — of one METRICS dump (:func:`repro.core.stats.summarize`)."""
+        return summarize(self.metrics())
 
     def metrics(self) -> dict:
         """The server's metrics-registry dump (see ``repro.obs.metrics``)."""

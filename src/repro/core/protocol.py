@@ -62,6 +62,8 @@ __all__ = [
     "Message",
     "ProtocolError",
     "send_message",
+    "send_frame",
+    "with_trace",
     "recv_message",
     "FrameReader",
     "encode_message",
@@ -94,6 +96,8 @@ _PAYLOAD_KINDS = frozenset({KIND_TENSOR, KIND_TEXT, KIND_U8})
 _HEADER = struct.Struct("<4sBBHBQQIbBIBIB")
 #: Its first 9 bytes, validated before anything they size is read.
 _PREFIX = struct.Struct("<4sBBHB")
+#: trace_id and span_id, right behind the prefix: header bytes 9-24
+_TRACE = struct.Struct("<QQ")
 
 _MAX_ID = (1 << 64) - 1
 _MAX_DEADLINE_US = (1 << 32) - 1
@@ -125,8 +129,6 @@ class MessageType(IntEnum):
     ERROR = 3             # body = UTF-8 error text
     LIST_REQUEST = 4
     LIST_RESPONSE = 5     # body = UTF-8, newline-separated model names
-    STATS_REQUEST = 6
-    STATS_RESPONSE = 7    # body = UTF-8 JSON service statistics
     SHUTDOWN = 8
     METRICS_REQUEST = 9
     METRICS_RESPONSE = 10  # body = UTF-8 JSON MetricsRegistry dump
@@ -293,12 +295,24 @@ def encode_message(message: Message) -> bytes:
         _DIMS[len(dims)].pack(*dims, len(body)), name, tenant, body))
 
 
+def with_trace(frame: bytes, trace_id: int, span_id: int) -> bytearray:
+    """A copy of an encoded frame carrying another trace context."""
+    out = bytearray(frame)
+    _TRACE.pack_into(out, _PREFIX.size, trace_id, span_id)
+    return out
+
+
+def send_frame(sock: socket.socket, frame) -> None:
+    """Send one encoded frame through the ``protocol.send`` fault site."""
+    if faultsite.active is not None:
+        frame = faultsite.active.on_send(
+            sock, _MESSAGE_TYPES[frame[5]].name, frame)
+    sock.sendall(frame)
+
+
 def send_message(sock: socket.socket, message: Message) -> None:
     """Serialize and send one frame."""
-    frame = encode_message(message)
-    if faultsite.active is not None:
-        frame = faultsite.active.on_send(sock, message.type.name, frame)
-    sock.sendall(frame)
+    send_frame(sock, encode_message(message))
 
 
 _MESSAGE_TYPES = {int(mtype): mtype for mtype in MessageType}

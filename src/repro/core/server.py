@@ -27,7 +27,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..obs.metrics import MetricsRegistry, merge_dumps
+from ..obs.metrics import ChildMap, MetricsRegistry, merge_dumps
 from ..obs.profile import LayerTimer
 from ..obs.slo import BurnRateMonitor
 from ..obs.trace import Tracer, get_tracer
@@ -39,10 +39,10 @@ from . import faultsite
 from .batching import BatchingExecutor, BatchPolicy
 from .procpool import parse_workers
 from .protocol import (KIND_TEXT, FrameReader, Message, MessageType,
-                       ProtocolError, send_message)
+                       ProtocolError, encode_message, send_frame)
 from .registry import ModelRegistry
 from .session import SessionLimitError, SessionManager, TensorStreamApp
-from .stats import ServiceStats
+from .stats import RequestLedger
 
 __all__ = ["TcpServiceBase", "UnaryContext", "DjinnServer"]
 
@@ -265,9 +265,10 @@ class TcpServiceBase:
         """Dispatch one request; returns False to drop the connection.
 
         Data-plane frames go to the subclass's ``_data_plane`` table — a
-        handler returns the reply to send, or ``None`` when it sent one
-        itself.  The control plane (LIST / STATS / METRICS / SHUTDOWN) is
-        answered here from the three hooks below.
+        handler returns the reply to send (a ``Message`` or an encoded
+        frame), or ``None`` when it sent one itself.  The control plane
+        (LIST / METRICS / SHUTDOWN) is answered here from the two hooks
+        below.
         """
         handler = self._data_plane.get(request.type)
         if handler is not None:
@@ -275,9 +276,6 @@ class TcpServiceBase:
         elif request.type == MessageType.LIST_REQUEST:
             reply = Message(MessageType.LIST_RESPONSE,
                             text="\n".join(self._model_names()))
-        elif request.type == MessageType.STATS_REQUEST:
-            reply = Message(MessageType.STATS_RESPONSE,
-                            text=json.dumps(self._stats_snapshot()))
         elif request.type == MessageType.METRICS_REQUEST:
             reply = Message(MessageType.METRICS_RESPONSE,
                             text=json.dumps(self._metrics_dump()))
@@ -294,10 +292,6 @@ class TcpServiceBase:
 
     def _model_names(self):
         """Subclass hook: the names a LIST_REQUEST answers with."""
-        raise NotImplementedError
-
-    def _stats_snapshot(self) -> dict:
-        """Subclass hook: the JSON-able body of a STATS_RESPONSE."""
         raise NotImplementedError
 
     def _metrics_dump(self) -> dict:
@@ -320,9 +314,11 @@ class TcpServiceBase:
                        span_id=request.span_id, **fields)
 
     @staticmethod
-    def _safe_send(conn: socket.socket, message: Message) -> None:
+    def _safe_send(conn: socket.socket, reply) -> None:
+        """Send a ``Message`` or an already-encoded frame."""
         try:
-            send_message(conn, message)
+            send_frame(conn, reply if isinstance(reply, (bytes, bytearray))
+                       else encode_message(reply))
         except OSError:
             pass  # client went away; nothing to do
 
@@ -449,7 +445,7 @@ class DjinnServer(TcpServiceBase):
         self.tracer = tracer if tracer is not None else get_tracer()
         self.profile_layers = profile_layers
         self.metrics = MetricsRegistry()
-        self.stats = ServiceStats(clock=clock, registry=self.metrics)
+        self.ledger = RequestLedger(self.metrics)
         self._errors = self.metrics.counter(
             "djinn_errors_total", "Requests rejected, per model and reason.",
             ("model", "reason"))
@@ -461,10 +457,10 @@ class DjinnServer(TcpServiceBase):
             "djinn_slo_requests_total",
             "Deadline-carrying requests, per model and outcome "
             "(met|missed|expired).", ("model", "outcome"))
-        self._stage_seconds = self.metrics.counter(
+        self._stage_seconds = ChildMap(self.metrics.counter(
             "djinn_stage_seconds_total",
             "Request-weighted seconds spent per serving stage, per model.",
-            ("model", "stage"))
+            ("model", "stage")))
         self._streams_total = self.metrics.counter(
             "djinn_streams_total",
             "Streams opened, per model and outcome "
@@ -532,9 +528,6 @@ class DjinnServer(TcpServiceBase):
 
     def _model_names(self):
         return self.registry.names()
-
-    def _stats_snapshot(self) -> dict:
-        return self.stats.snapshot()
 
     # ------------------------------------------------------------- serving
     def _app_for(self, name: str):
@@ -638,14 +631,13 @@ class DjinnServer(TcpServiceBase):
             finish = clock()
             # the prepare window is accounted now, inside the respond
             # window, not in the gap between it and the dispatch
-            self._stage_seconds.labels(
-                model=name, stage="preprocess").inc(pre_end - start)
+            self._stage_seconds[name, "preprocess"].inc(pre_end - start)
             ctx.add_span("preprocess", start, pre_end, "backend", model=name)
             # respond starts when the executor handed the result over: the
             # worker's delivery stamp when available (the gap up to
             # ``finish`` is this thread waking up, part of responding)
             respond_start = delivered if 0.0 < delivered < finish else finish
-            self.stats.record(
+            self.ledger.record(
                 name, finish - start, inputs=1 if is_app else len(inputs),
                 exemplar=ctx.exemplar)
             if deadline_s is not None:
@@ -663,8 +655,7 @@ class DjinnServer(TcpServiceBase):
             send_end = clock()
             # respond covers everything after the forward: accounting,
             # response serialization and the socket send
-            self._stage_seconds.labels(
-                model=name, stage="respond").inc(send_end - respond_start)
+            self._stage_seconds[name, "respond"].inc(send_end - respond_start)
             ctx.add_span("backend.respond", respond_start, send_end,
                          "network")
 
@@ -714,7 +705,7 @@ class DjinnServer(TcpServiceBase):
                 faultsite.active.on_preprocess(name)
             inputs = np.asarray(app.preprocess(raw), dtype=np.float32)
             pre_end = clock()
-            stage.labels(model=name, stage="preprocess").inc(pre_end - begin)
+            stage[name, "preprocess"].inc(pre_end - begin)
             ctx.add_span("app.preprocess", begin, pre_end, "app", model=name,
                          rows=len(inputs))
             self._check_shape(name, net, inputs)
@@ -736,14 +727,13 @@ class DjinnServer(TcpServiceBase):
                 remaining = self._floor_s - (clock() - begin)
                 if remaining > 0:
                     time.sleep(remaining)
-        stage.labels(model=name, stage="net.forward").inc(
-            forward_end - forward_start)
+        stage[name, "net.forward"].inc(forward_end - forward_start)
         if app is None:
             return outputs
         post_start = clock()
         result = app.postprocess(outputs, raw)
         post_end = clock()
-        stage.labels(model=name, stage="postprocess").inc(post_end - post_start)
+        stage[name, "postprocess"].inc(post_end - post_start)
         ctx.add_span("app.postprocess", post_start, post_end, "app", model=name)
         return result
 

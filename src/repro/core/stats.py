@@ -1,119 +1,92 @@
-"""Service-side instrumentation: per-model query counts and latency stats.
+"""Per-request accounting: one ledger per serving tier, read back from METRICS.
 
-Since the observability PR, :class:`ServiceStats` is a thin per-model view
-over :mod:`repro.obs.metrics` — requests/inputs are Counters and latency is
-one :class:`~repro.obs.metrics.Histogram` family with a bounded raw window
-for exact percentiles — so there is exactly one latency-accounting path,
-and the same numbers surface identically through ``STATS_REQUEST`` (JSON
-summaries) and ``METRICS_REQUEST`` (Prometheus-style exposition).
+Each tier — the backend (``djinn``) and the gateway (``gateway``) — records
+every request it answers exactly once, into three metric families of its
+own registry: ``{prefix}_requests_total``, ``{prefix}_inputs_total`` and the
+``{prefix}_request_latency_seconds`` histogram, whose tail exemplars name
+the slowest requests' traces.  There is no second store: the per-model
+summary :meth:`repro.core.DjinnClient.stats` prints is
+:func:`summarize` over a ``METRICS_RESPONSE`` dump, quantiles interpolated
+from the histogram's buckets.
 """
 
 from __future__ import annotations
 
-import time
-from collections import deque
-from threading import Lock
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import ChildMap, MetricsRegistry, percentile_from_counts
 
-__all__ = ["ServiceStats"]
+__all__ = ["RequestLedger", "summarize"]
+
+#: tail exemplars the latency histogram keeps per model
+EXEMPLARS = 8
 
 
-class ServiceStats:
-    """Thread-safe per-model QPS / latency accounting.
+class RequestLedger:
+    """The one per-request record of a serving tier.
 
-    Parameters
-    ----------
-    window:
-        Size of the raw-latency window per model (percentiles and the
-        windowed throughput are computed over it).
-    clock:
-        Monotonic time source for window timestamps; injected so tests can
-        drive time by hand.  The whole serving stack standardizes on
-        ``time.monotonic`` (one clock kind end to end).
-    registry:
-        Metrics registry to account into; each server passes its own so
-        replicas don't collide.  ``None`` creates a private registry.
-    prefix:
-        Metric-name prefix — ``djinn`` for backends, ``gateway`` for the
-        fleet front-end — keeping the two latency populations separate when
-        a gateway merges backend registries into its own.
-    exemplars:
-        Tail exemplars kept per model on the latency histogram: the trace
-        IDs of the slowest requests, resolvable by ``djinn slow``.
+    ``registry`` is the tier's own; ``prefix`` (``djinn`` for backends,
+    ``gateway`` for the fleet front-end) keeps the two populations apart
+    when a gateway merges backend dumps into its own.  Children are bound
+    once per model, so :meth:`record` is three dict lookups and three
+    increments.
     """
 
-    def __init__(self, window: int = 10_000,
-                 clock: Callable[[], float] = time.monotonic,
-                 registry: Optional[MetricsRegistry] = None,
-                 prefix: str = "djinn", exemplars: int = 8):
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        self._window = window
-        self._clock = clock
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._requests = self.registry.counter(
-            f"{prefix}_requests_total", "Requests served, per model.", ("model",))
-        self._inputs = self.registry.counter(
+    def __init__(self, registry: MetricsRegistry, prefix: str = "djinn"):
+        self.requests = ChildMap(registry.counter(
+            f"{prefix}_requests_total", "Requests served, per model.",
+            ("model",)))
+        self.inputs = ChildMap(registry.counter(
             f"{prefix}_inputs_total", "Individual inputs processed, per model.",
-            ("model",))
-        self._latency = self.registry.histogram(
+            ("model",)))
+        self.latency = ChildMap(registry.histogram(
             f"{prefix}_request_latency_seconds",
             "End-to-end request service latency, per model.", ("model",),
-            window=window, exemplars=exemplars)
-        self._lock = Lock()
-        self._stamps: Dict[str, deque] = {}
+            exemplars=EXEMPLARS))
 
     def record(self, model: str, latency_s: float, inputs: int = 1,
                exemplar: Optional[str] = None) -> None:
-        now = self._clock()
-        self._requests.labels(model=model).inc()
-        self._inputs.labels(model=model).inc(inputs)
-        self._latency.labels(model=model).observe(latency_s, exemplar=exemplar)
-        with self._lock:
-            stamps = self._stamps.get(model)
-            if stamps is None:
-                stamps = self._stamps[model] = deque(maxlen=self._window)
-            stamps.append(now)
+        """Account one answered request of ``model``."""
+        self.requests[model].inc()
+        self.inputs[model].inc(inputs)
+        self.latency[model].observe(latency_s, exemplar=exemplar)
 
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Per-model summary: count, inputs, mean/p50/p95/p99/max latency
-        (ms), the number of samples currently in the percentile window, and
-        ``qps`` — requests in the window over the window's wall-clock span
-        (0.0 until the window spans a measurable interval)."""
-        out: Dict[str, Dict[str, float]] = {}
-        for (model,), hist in self._latency.children():
-            values = hist.window_values()
-            if not values:
+
+def summarize(dump: dict) -> Dict[str, Dict[str, float]]:
+    """Per-model request summary of a METRICS dump.
+
+    Keys per model: ``requests``, ``inputs``, ``mean_ms``, ``p50_ms``,
+    ``p95_ms``, ``p99_ms``, ``max_ms``.  Backend ledgers (``djinn_*``)
+    report under the model name and a gateway's own (``gateway_*``) under
+    ``gateway:<model>``; a gateway's dump is fleet-merged, so its backend
+    entries are fleet totals with bucket-exact merged quantiles.
+    """
+    metrics = dump.get("metrics", {})
+    out: Dict[str, Dict[str, float]] = {}
+    for prefix, key in (("djinn", "{}"), ("gateway", "gateway:{}")):
+        latency = metrics.get(f"{prefix}_request_latency_seconds")
+        if latency is None:
+            continue
+        totals = {
+            name: {s["labels"]["model"]: float(s["value"])
+                   for s in metrics.get(f"{prefix}_{name}_total",
+                                        {}).get("samples", ())}
+            for name in ("requests", "inputs")}
+        bounds = latency["buckets"]
+        for sample in latency["samples"]:
+            count = sample["count"]
+            if not count:
                 continue
-            with self._lock:
-                stamps = self._stamps.get(model, ())
-                span = stamps[-1] - stamps[0] if len(stamps) > 1 else 0.0
-                n_stamps = len(stamps)
-            out[model] = {
-                "requests": float(self._requests.labels(model=model).value),
-                "inputs": float(self._inputs.labels(model=model).value),
-                "mean_ms": float(sum(values) / len(values)) * 1e3,
-                "p50_ms": hist.percentile(50) * 1e3,
-                "p95_ms": hist.percentile(95) * 1e3,
-                "p99_ms": hist.percentile(99) * 1e3,
-                "max_ms": hist.max * 1e3,
-                "window": float(len(values)),
-                "qps": float(n_stamps / span) if span > 0 else 0.0,
+            model = sample["labels"]["model"]
+            low, high = sample["min"], sample["max"]
+            summary = {
+                "requests": totals["requests"].get(model, 0.0),
+                "inputs": totals["inputs"].get(model, 0.0),
+                "mean_ms": sample["sum"] / count * 1e3,
             }
-        return out
-
-    def reset(self) -> None:
-        """Drop all windows and counters (e.g. between benchmark phases)."""
-        self._requests.clear()
-        self._inputs.clear()
-        self._latency.clear()
-        with self._lock:
-            self._stamps.clear()
-
-    def requests(self, model: str) -> int:
-        for (name,), counter in self._requests.children():
-            if name == model:
-                return int(counter.value)
-        return 0
+            for q in (50, 95, 99):
+                summary[f"p{q}_ms"] = percentile_from_counts(
+                    bounds, sample["counts"], q, low, high) * 1e3
+            summary["max_ms"] = high * 1e3
+            out[key.format(model)] = summary
+    return out

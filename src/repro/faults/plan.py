@@ -268,7 +268,7 @@ class FaultInjector:
 
     # ------------------------------------------------------- site endpoints
     def on_send(self, sock: socket.socket, type_name: str, frame: bytes) -> bytes:
-        """Called by ``send_message`` with the fully serialized frame."""
+        """Called by ``send_frame`` with the fully serialized frame."""
         rule = self._fire("protocol.send", type_name)
         if rule is None:
             return frame

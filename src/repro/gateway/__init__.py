@@ -31,7 +31,7 @@ from .launcher import ClusterLauncher
 from .pool import BackendHandle, BackendPool
 from .retry import RetryPolicy
 from .router import POLICIES, Router, rendezvous_score
-from .server import GatewayServer, merge_stats
+from .server import GatewayServer
 
 __all__ = [
     "BackendHandle",
@@ -43,7 +43,6 @@ __all__ = [
     "ResponseCache",
     "RetryPolicy",
     "Router",
-    "merge_stats",
     "rendezvous_score",
     "response_key",
 ]

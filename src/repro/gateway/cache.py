@@ -17,15 +17,17 @@ same answer, so they share an entry (pinned by the property tests in
 ``tests/test_cache.py``).  Stream frames never reach the cache: a stream's
 answer is a function of session state, not of any one frame.
 
-Entries store the response *payload* (output tensor or app answer text),
-never a wire frame: trace/span ids are per-request, so the hit path
-rebuilds a response around the caller's identity and the frame comes out
+Each entry keeps the encoded reply frame of the miss that populated it.
+A hit copies that frame, writes the caller's trace context into header
+bytes 9-24 (:func:`repro.core.protocol.with_trace`) and sends it: no
+``Message`` is built and nothing is re-encoded, and the frame is
 byte-identical to what a miss would have produced for that same caller.
 
 Budget
 ------
 The cache is a bytes-budgeted LRU: ``budget_bytes`` caps the sum of entry
-payload sizes, evicting least-recently-used entries on insert.  An entry
+*payload* sizes (the reply tensor or text, not its frame header),
+evicting least-recently-used entries on insert.  An entry
 larger than the whole budget is refused (counted as an eviction of
 itself).  All mutation is under one lock; probe/insert are thread-safe.
 """
@@ -35,9 +37,11 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
+
+from ..core.protocol import KIND_TEXT, Message, MessageType, encode_message
 
 __all__ = ["ResponseCache", "response_key"]
 
@@ -47,53 +51,42 @@ def response_key(model: str, payload_kind: int, payload,
     """Content key of one unary request; QoS fields do not participate.
 
     ``payload`` is the request's tensor (any ndarray) or its text payload
-    (str).  The digest covers the model name, payload kind, dtype/shape,
-    and raw bytes, each length-prefixed so distinct field splits can never
-    collide structurally.
+    (str).  The digest covers a compact prefix — the length-prefixed model
+    name, the payload kind, then ``text`` or the tensor's dtype and shape
+    — and the payload bytes, a contiguous tensor hashed in place through
+    its buffer.  Every prefix field is self-delimiting, so distinct field
+    splits can never collide structurally.
     """
     h = hashlib.sha256() if digest is None else digest()
     name = model.encode("utf-8", "surrogatepass")
-    h.update(len(name).to_bytes(4, "big"))
-    h.update(name)
-    h.update(bytes([payload_kind & 0xFF]))
     if isinstance(payload, (str, bytes)):
-        data = payload.encode("utf-8") if isinstance(payload, str) else payload
-        h.update(b"text")
-        h.update(len(data).to_bytes(8, "big"))
-        h.update(data)
+        body = payload.encode("utf-8") if isinstance(payload, str) else payload
+        h.update(b"%d:%s %d text" % (len(name), name, payload_kind & 0xFF))
     else:
-        arr = np.ascontiguousarray(payload)
-        meta = f"{arr.dtype.str}:{arr.shape}".encode()
-        h.update(b"tensor")
-        h.update(len(meta).to_bytes(4, "big"))
-        h.update(meta)
-        h.update(len(arr.tobytes()).to_bytes(8, "big"))
-        h.update(arr.tobytes())
+        body = np.ascontiguousarray(payload)
+        h.update(b"%d:%s %d %s%r" % (len(name), name, payload_kind & 0xFF,
+                                     body.dtype.str.encode(), body.shape))
+    h.update(body)
     return h.digest()
 
 
 class _Entry:
-    """One cached response payload plus the metadata that verifies it."""
+    """One cached reply frame plus the metadata that verifies it."""
 
-    __slots__ = ("model", "payload_kind", "nbytes", "tensor", "text",
-                 "response_kind", "response_payload_kind")
+    __slots__ = ("model", "payload_kind", "nbytes", "frame")
 
     def __init__(self, model: str, payload_kind: int, nbytes: int,
-                 tensor: Optional[np.ndarray], text: Optional[str],
-                 response_kind: int, response_payload_kind: int):
+                 frame: bytes):
         self.model = model
         self.payload_kind = payload_kind
+        #: payload bytes charged against the budget
         self.nbytes = nbytes
-        self.tensor = tensor
-        self.text = text
-        #: MessageType value of the cached response frame
-        self.response_kind = response_kind
-        #: payload_kind the response frame declared (app answers carry one)
-        self.response_payload_kind = response_payload_kind
+        #: the encoded reply, trace context as the populating miss sent it
+        self.frame = frame
 
 
 class ResponseCache:
-    """Bytes-budgeted LRU of response payloads, keyed by content digest.
+    """Bytes-budgeted LRU of reply frames, keyed by content digest.
 
     A probe verifies the entry's retained metadata (model, payload kind)
     against the caller's before serving it, so a digest collision across
@@ -135,8 +128,13 @@ class ResponseCache:
 
     def put(self, key: bytes, model: str, payload_kind: int,
             tensor: Optional[np.ndarray] = None, text: Optional[str] = None,
-            response_kind: int = 0, response_payload_kind: int = 0) -> int:
-        """Insert one response payload, evicting LRU entries past budget.
+            response_kind: int = MessageType.INFER_RESPONSE,
+            frame: Optional[bytes] = None) -> int:
+        """Insert one reply, evicting LRU entries past budget.
+
+        ``tensor``/``text`` are the reply's payload, which the budget is
+        charged for; ``frame`` is the reply as it was sent.  Without one,
+        the frame is encoded here from the payload and ``response_kind``.
 
         Returns the number of entries evicted (including a refused insert
         counted against itself), so callers can mirror the eviction count
@@ -144,28 +142,33 @@ class ResponseCache:
         """
         nbytes = 0
         if tensor is not None:
-            tensor = np.array(tensor, dtype=np.float32)  # owned copy
-            tensor.flags.writeable = False
-            nbytes += tensor.nbytes
+            nbytes += np.asarray(tensor, dtype=np.float32).nbytes
         if text is not None:
             nbytes += len(text.encode("utf-8"))
-        entry = _Entry(model, payload_kind, nbytes, tensor, text,
-                       response_kind, response_payload_kind)
-        with self._lock:
-            if nbytes > self.budget_bytes:
+        if nbytes > self.budget_bytes:
+            with self._lock:
                 self.evictions += 1  # refused: larger than the whole budget
-                return 1
+            return 1
+        if frame is None:
+            frame = encode_message(Message(
+                response_kind, name=model, tensor=tensor, text=text or "",
+                payload_kind=(KIND_TEXT if response_kind
+                              == MessageType.APP_RESPONSE else 0)))
+        entry = _Entry(model, payload_kind, nbytes, bytes(frame))
+        with self._lock:
             old = self._lru.pop(key, None)
             if old is not None:
                 self.bytes -= old.nbytes
-            self._lru[key] = entry
-            self.bytes += nbytes
+            # make room first, so ``bytes`` (read unlocked, e.g. for the
+            # gauge) never passes the budget even for an instant
             evicted_now = 0
-            while self.bytes > self.budget_bytes and self._lru:
+            while self.bytes + nbytes > self.budget_bytes:
                 _, evicted = self._lru.popitem(last=False)
                 self.bytes -= evicted.nbytes
                 self.evictions += 1
                 evicted_now += 1
+            self._lru[key] = entry
+            self.bytes += nbytes
             return evicted_now
 
     # ----------------------------------------------------------- reporting

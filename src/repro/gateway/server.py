@@ -14,9 +14,9 @@ and :class:`repro.core.RemoteBackend` work against it unchanged:
   DEADLINE_EXCEEDED / OVERLOADED refusal — is relayed as it arrived, never
   retried: retrying a request the model rejected wastes the fleet's time.
 * ``LIST_REQUEST`` — union of model names across healthy backends.
-* ``STATS_REQUEST`` — per-model stats merged across the fleet (counts and
-  qps summed, latency moments weighted by request count), with the
-  gateway's own end-to-end view under ``gateway:<model>`` keys.
+* ``METRICS_REQUEST`` — the gateway's registry merged with every healthy
+  backend's: its own ``gateway_*`` ledger beside the fleet's ``djinn_*``
+  one (``DjinnClient.stats`` summarizes both).
 * ``STREAM_OPEN`` / ``STREAM_CHUNK`` / ``STREAM_CLOSE`` — proxied to one
   backend pinned for the stream's lifetime (rendezvous affinity over the
   healthy fleet): session state lives server-side, so chunks cannot fail
@@ -39,10 +39,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import faultsite
 from ..core.client import DjinnConnectionError, DjinnServiceError
-from ..core.protocol import Message, MessageType
+from ..core.protocol import Message, MessageType, encode_message, with_trace
 from ..core.server import TcpServiceBase, UnaryContext
-from ..core.stats import ServiceStats
-from ..obs.metrics import MetricsRegistry, merge_dumps
+from ..core.stats import RequestLedger
+from ..obs.metrics import ChildMap, MetricsRegistry, merge_dumps
 from ..obs.slo import BurnRateMonitor
 from ..obs.trace import NOOP_SPAN, Tracer, get_tracer, log_event
 from ..sched import AdmissionController, LatencyModel, QosConfig, Rejection
@@ -52,7 +52,7 @@ from .pool import BackendHandle, BackendPool
 from .retry import RetryPolicy
 from .router import Router
 
-__all__ = ["GatewayServer", "merge_stats"]
+__all__ = ["GatewayServer"]
 
 logger = logging.getLogger("repro.gateway")
 
@@ -99,53 +99,6 @@ class _HedgeArm:
             client = self._client
         if client is not None:
             client.interrupt()
-
-
-def merge_stats(snapshots: Sequence[Dict[str, Dict[str, float]]]) -> Dict[str, Dict[str, float]]:
-    """Merge per-backend ``ServiceStats.snapshot()`` dicts into a fleet view.
-
-    ``requests``/``inputs``/``qps``/``window`` add across backends; the
-    latency moments (mean and percentiles) are combined as
-    request-count-weighted means — exact for ``mean_ms``, the standard
-    frontend approximation for the percentiles (true fleet percentiles
-    would need the raw windows on the wire); ``max_ms`` takes the fleet
-    maximum.  ``backends`` counts how many replicas reported the model.
-    """
-    sums: Dict[str, Dict[str, float]] = {}
-    for snap in snapshots:
-        for model, stats in snap.items():
-            acc = sums.setdefault(model, {
-                "requests": 0.0, "inputs": 0.0, "qps": 0.0, "backends": 0.0,
-                "_wsum": {}, "_max": None, "_window": None,
-            })
-            weight = float(stats.get("requests", 0.0))
-            acc["requests"] += weight
-            acc["inputs"] += float(stats.get("inputs", 0.0))
-            acc["qps"] += float(stats.get("qps", 0.0))
-            acc["backends"] += 1.0
-            if "max_ms" in stats:
-                current = acc["_max"]
-                acc["_max"] = (float(stats["max_ms"]) if current is None
-                               else max(current, float(stats["max_ms"])))
-            if "window" in stats:
-                acc["_window"] = (acc["_window"] or 0.0) + float(stats["window"])
-            for key in ("mean_ms", "p50_ms", "p95_ms", "p99_ms"):
-                if key in stats:
-                    acc["_wsum"][key] = acc["_wsum"].get(key, 0.0) + weight * stats[key]
-    merged: Dict[str, Dict[str, float]] = {}
-    for model, acc in sums.items():
-        weighted = acc.pop("_wsum")
-        maximum = acc.pop("_max")
-        window = acc.pop("_window")
-        out = dict(acc)
-        for key, total in weighted.items():
-            out[key] = total / acc["requests"] if acc["requests"] else 0.0
-        if maximum is not None:
-            out["max_ms"] = maximum
-        if window is not None:
-            out["window"] = window
-        merged[model] = out
-    return merged
 
 
 class _ProxyStream:
@@ -268,23 +221,23 @@ class GatewayServer(TcpServiceBase):
             "gateway_slo_requests_total",
             "Deadline-carrying requests, per model and outcome "
             "(met|missed|expired|shed|failed).", ("model", "outcome"))
-        self._stage_seconds = self.metrics.counter(
+        self._stage_seconds = ChildMap(self.metrics.counter(
             "gateway_stage_seconds_total",
             "Seconds spent per gateway stage, per model "
-            "(successful forwards).", ("model", "stage"))
+            "(successful forwards).", ("model", "stage")))
         #: content-addressed response cache (None = disabled; the metric
         #: families below are only registered when it exists, so a cache-off
         #: gateway's metrics dump is byte-identical to pre-cache builds)
         self.cache = (ResponseCache(int(cache_mb * 1024 * 1024))
                       if cache_mb > 0 else None)
         if self.cache is not None:
-            self._cache_hits = self.metrics.counter(
+            self._cache_hits = ChildMap(self.metrics.counter(
                 "gateway_cache_hits_total",
-                "Response-cache hits, per model.", ("model",))
-            self._cache_misses = self.metrics.counter(
+                "Response-cache hits, per model.", ("model",)))
+            self._cache_misses = ChildMap(self.metrics.counter(
                 "gateway_cache_misses_total",
                 "Response-cache misses (collisions included), per model.",
-                ("model",))
+                ("model",)))
             self._cache_evictions = self.metrics.counter(
                 "gateway_cache_evictions_total",
                 "Response-cache entries evicted past the bytes budget.")
@@ -308,8 +261,7 @@ class GatewayServer(TcpServiceBase):
         self.retry = retry or RetryPolicy()
         self.health = HealthChecker(self.pool, interval_s=health_interval_s,
                                     probe_timeout_s=backend_timeout_s)
-        self.stats = ServiceStats(clock=clock, registry=self.metrics,
-                                  prefix="gateway")
+        self.ledger = RequestLedger(self.metrics, prefix="gateway")
         self._rng = random.Random(0x6A7E)
         self._rng_lock = threading.Lock()
         self._gw_streams = self.metrics.counter(
@@ -440,14 +392,15 @@ class GatewayServer(TcpServiceBase):
                       stream=key[1])
 
     # ---------------------------------------------------------- forwarding
-    def _serve_unary(self, conn: socket.socket, request: Message) -> Message:
+    def _serve_unary(self, conn: socket.socket, request: Message):
         """Answer one INFER_REQUEST or APP_REQUEST — the only unary routine.
 
         Both kinds take the same stages over one :class:`UnaryContext`:
         admission gate → response-cache probe → route / retry / hedge →
-        cache insert → stats and SLO.  The frame is relayed with its
+        cache insert → ledger and SLO.  The frame is relayed with its
         payload untouched, so for an APP_REQUEST the backend runs the whole
-        Tonic pipeline server-side.
+        Tonic pipeline server-side.  Returns the encoded reply: a cache hit
+        is the stored frame re-stamped with the caller's trace context.
         """
         if request.type == MessageType.INFER_REQUEST and request.tensor is None:
             return self._reply(request, MessageType.ERROR,
@@ -457,36 +410,42 @@ class GatewayServer(TcpServiceBase):
             # frame must declare a payload kind — an untyped one is malformed
             return self._reply(request, MessageType.ERROR,
                                text="app request carries no payload")
+        answer = _ANSWER[request.type]
         with UnaryContext(self, request, "gateway.infer", "gateway") as ctx:
             response = (self._admission_gate(ctx)
                         if self.qos is not None else None)
-            cache_key, hit = None, False
+            cache_key = frame = None
             if response is None and self.cache is not None:
                 # probe after admission so shed/expire behavior is
                 # unchanged; a hit never reaches the fleet
-                cache_key, response = self._cache_probe(ctx)
-                hit = response is not None
-            if response is None:
-                if (self._hedge_delay_s(request.name) > 0
-                        and len(self.pool.healthy()) > 1):
-                    response = self._forward_hedged(ctx)
-                else:
-                    response = self._forward_attempts(ctx)
-                self._cache_insert(cache_key, request, response)
-            if response.type == _ANSWER[request.type]:
+                cache_key, frame = self._cache_probe(ctx)
+            if frame is not None:
+                replied = answer
+            else:
+                if response is None:
+                    if (self._hedge_delay_s(request.name) > 0
+                            and len(self.pool.healthy()) > 1):
+                        response = self._forward_hedged(ctx)
+                    else:
+                        response = self._forward_attempts(ctx)
+                frame = encode_message(response)
+                replied = response.type
+                if cache_key is not None and replied == answer:
+                    self._cache_insert(cache_key, request, response, frame)
+            if replied == answer:
                 elapsed = self._clock() - ctx.start
-                self.stats.record(
+                self.ledger.record(
                     request.name, elapsed, exemplar=ctx.exemplar,
                     inputs=(len(request.tensor) if request.type
                             == MessageType.INFER_REQUEST else 1))
-                # a hit counts toward throughput stats but never feeds the
+                # a hit counts toward throughput but never feeds the
                 # latency model: near-zero hit latencies would poison the
                 # admission and hedging estimates of backend service time
-                if not hit:
+                if response is not None:
                     self.latency.observe(request.name, 1, elapsed)
             if ctx.deadline_s is not None:
-                self._record_slo(request.name, response, ctx.deadline_s)
-            return response
+                self._record_slo(request.name, replied, ctx.deadline_s)
+        return frame
 
     _SLO_OUTCOMES = {
         MessageType.INFER_RESPONSE: "met",       # demoted to missed when late
@@ -495,10 +454,10 @@ class GatewayServer(TcpServiceBase):
         MessageType.OVERLOADED: "shed",
     }
 
-    def _record_slo(self, model: str, response: Message,
+    def _record_slo(self, model: str, replied: MessageType,
                     deadline_s: float) -> None:
         """Account one deadlined request's end-to-end outcome; re-check burn."""
-        outcome = self._SLO_OUTCOMES.get(response.type, "failed")
+        outcome = self._SLO_OUTCOMES.get(replied, "failed")
         if outcome == "met" and self._clock() > deadline_s:
             outcome = "missed"
         self._slo.labels(model=model or "?", outcome=outcome).inc()
@@ -576,11 +535,12 @@ class GatewayServer(TcpServiceBase):
     def _cache_probe(self, ctx: UnaryContext):
         """Probe the response cache for one unary request.
 
-        Returns ``(key, response)``: the content key to insert the
-        eventual answer under after a miss, and the rebuilt response on a
-        hit.  Any probe failure — including the ``cache.probe`` fault
-        site — fails open to an uncacheable miss (``(None, None)``) so the
-        request is simply forwarded as if the cache did not exist.
+        Returns ``(key, frame)``: the content key to insert the eventual
+        answer under after a miss, and on a hit the stored reply frame
+        re-stamped with the caller's trace context.  Any probe failure —
+        including the ``cache.probe`` fault site — fails open to an
+        uncacheable miss (``(None, None)``) so the request is simply
+        forwarded as if the cache did not exist.
         """
         request = ctx.request
         model = request.name
@@ -599,27 +559,20 @@ class GatewayServer(TcpServiceBase):
         probe_end = self._clock()
         ctx.add_span("gateway.cache", probe_start, probe_end, "gateway",
                      model=model, outcome="miss" if entry is None else "hit")
-        self._stage_seconds.labels(model=model, stage="gateway.cache").inc(
+        self._stage_seconds[model, "gateway.cache"].inc(
             max(0.0, probe_end - probe_start))
         if entry is None:
-            self._cache_misses.labels(model=model).inc()
+            self._cache_misses[model].inc()
             return key, None
-        self._cache_hits.labels(model=model).inc()
-        return key, ctx.reply(
-            entry.response_kind, name=model, tensor=entry.tensor,
-            text=entry.text, payload_kind=entry.response_payload_kind)
+        self._cache_hits[model].inc()
+        return key, with_trace(entry.frame, request.trace_id, request.span_id)
 
-    def _cache_insert(self, key, request: Message,
-                      response: Message) -> None:
-        """Retain one successful unary response under its content key."""
-        if (self.cache is None or key is None
-                or response.type != _ANSWER[request.type]):
-            return  # errors and typed rejections are never cacheable
+    def _cache_insert(self, key: bytes, request: Message, response: Message,
+                      frame: bytes) -> None:
+        """Retain one successful unary reply, as sent, under its key."""
         evicted = self.cache.put(
             key, request.name, request.payload_kind,
-            tensor=response.tensor, text=response.text,
-            response_kind=response.type,
-            response_payload_kind=response.payload_kind)
+            tensor=response.tensor, text=response.text, frame=frame)
         if evicted:
             self._cache_evictions.inc(evicted)
         self._cache_bytes.set(float(self.cache.bytes))
@@ -727,12 +680,10 @@ class GatewayServer(TcpServiceBase):
             if reply.type == _ANSWER[request.type]:
                 # always-on stage accounting for the successful forward: the
                 # routing/backoff share and the backend roundtrip share
-                self._stage_seconds.labels(
-                    model=model, stage="gateway.queue").inc(
-                        max(0.0, rpc_start - ctx.start))
-                self._stage_seconds.labels(
-                    model=model, stage="gateway.rpc").inc(
-                        max(0.0, rpc_end - rpc_start))
+                self._stage_seconds[model, "gateway.queue"].inc(
+                    max(0.0, rpc_start - ctx.start))
+                self._stage_seconds[model, "gateway.rpc"].inc(
+                    max(0.0, rpc_end - rpc_start))
             elif reply.type not in _REFUSALS:
                 return ctx.reply(MessageType.ERROR,
                                  text=f"unexpected response type {reply.type}")
@@ -810,30 +761,7 @@ class GatewayServer(TcpServiceBase):
                          self._clock(), "gateway", model=model, winner=winner)
         return response
 
-    # --------------------------------------------------------------- stats
-    def _stats_snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Per-model stats merged across the fleet, plus the gateway's own
-        end-to-end view under ``gateway:<model>`` keys."""
-        snapshots: List[Dict[str, Dict[str, float]]] = []
-        for backend in self.pool.healthy():
-            try:
-                client = backend.checkout()
-            except DjinnConnectionError:
-                backend.mark_down()
-                continue
-            ok = False
-            try:
-                snapshots.append(client.stats())
-                ok = True
-            except DjinnConnectionError:
-                backend.mark_down()
-            finally:
-                backend.checkin(client, ok=ok)
-        merged = merge_stats(snapshots)
-        for model, stats in self.stats.snapshot().items():
-            merged[f"gateway:{model}"] = stats
-        return merged
-
+    # ------------------------------------------------------------- metrics
     def _metrics_dump(self) -> dict:
         """Fleet-level metrics: every healthy backend's registry dump merged
         with the gateway's own (name prefixes keep the two populations

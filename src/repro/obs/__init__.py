@@ -36,6 +36,7 @@ from .cost import (
 )
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS_S,
+    ChildMap,
     Counter,
     Gauge,
     Histogram,
@@ -64,6 +65,7 @@ from .trace import (
 )
 
 __all__ = [
+    "ChildMap",
     "Counter",
     "Gauge",
     "Histogram",

@@ -7,8 +7,10 @@ metrics substrate rather than ad-hoc dicts.  This module provides:
 * a :class:`MetricsRegistry` holding named metric *families*; each family
   fans out to children keyed by label values (``family.labels(model="dig")``);
 * :class:`Counter` (monotone), :class:`Gauge` (up/down), and
-  :class:`Histogram` (fixed log-scale buckets plus an optional bounded
-  window of raw samples for exact percentiles);
+  :class:`Histogram` (fixed log-scale buckets, sum/count/min/max and tail
+  exemplars);
+* :class:`ChildMap`, a family's children keyed by label values and bound
+  on first use, for hot paths;
 * Prometheus-style text exposition (:meth:`MetricsRegistry.expose`), a
   JSON-able structural dump (:meth:`MetricsRegistry.dump`) that travels on
   the wire in ``METRICS_RESPONSE`` frames, :func:`merge_dumps` so a gateway
@@ -16,7 +18,8 @@ metrics substrate rather than ad-hoc dicts.  This module provides:
   and CI can assert the text format stays well-formed.
 
 Everything is safe to call from many worker threads; the hot path
-(``child.inc()`` / ``child.observe()``) takes one small lock.
+(``children[model].inc()`` / ``.observe()``) is one dict lookup and one
+small lock.
 """
 
 from __future__ import annotations
@@ -28,13 +31,13 @@ import re
 import struct
 import threading
 from bisect import bisect_left
-from collections import deque
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "ChildMap",
     "MetricFamily",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS_S",
@@ -134,10 +137,8 @@ class Gauge:
 class Histogram:
     """Fixed-bucket histogram with sum/count/min/max.
 
-    ``window`` > 0 additionally keeps that many recent raw observations so
-    :meth:`percentile` is exact over the window (what `ServiceStats` needs
-    for p50/p95/p99); with ``window=0`` percentiles fall back to linear
-    interpolation within the matching bucket.
+    :meth:`percentile` interpolates within the matching bucket, clamped to
+    the observed min and max.
 
     ``exemplars`` > 0 keeps that many **tail exemplars**: the largest
     observations seen so far, each with an opaque label (a trace ID in the
@@ -147,10 +148,10 @@ class Histogram:
     """
 
     __slots__ = ("buckets", "_counts", "_lock", "_sum", "_count",
-                 "_min", "_max", "_window", "_ex_cap", "_ex_heap", "_ex_seq")
+                 "_min", "_max", "_ex_cap", "_ex_heap", "_ex_seq")
 
     def __init__(self, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_S,
-                 window: int = 0, exemplars: int = 0):
+                 exemplars: int = 0):
         bounds = tuple(float(b) for b in buckets)
         if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
             raise ValueError(f"bucket bounds must be strictly increasing, got {bounds}")
@@ -163,7 +164,6 @@ class Histogram:
         self._count = 0
         self._min = math.inf
         self._max = -math.inf
-        self._window: Optional[deque] = deque(maxlen=window) if window else None
         self._ex_cap = int(exemplars)
         #: min-heap of (value, seq, label): the cap largest observations
         self._ex_heap: List[Tuple[float, int, str]] = []
@@ -182,8 +182,6 @@ class Histogram:
                 self._min = value
             if value > self._max:
                 self._max = value
-            if self._window is not None:
-                self._window.append(value)
             if self._ex_cap and exemplar is not None:
                 entry = (value, self._ex_seq, str(exemplar))
                 self._ex_seq += 1
@@ -224,43 +222,12 @@ class Histogram:
         with self._lock:
             return list(self._counts)
 
-    def window_values(self) -> List[float]:
-        with self._lock:
-            return list(self._window) if self._window is not None else []
-
     def percentile(self, q: float) -> float:
-        """q-th percentile (0..100): exact over the raw window when kept,
-        otherwise linearly interpolated within the matching bucket."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
+        """q-th percentile (0..100), interpolated within the matching
+        bucket and clamped to the observed range."""
         with self._lock:
-            if self._count == 0:
-                return 0.0
-            if self._window:
-                values = sorted(self._window)
-                if len(values) == 1:
-                    return values[0]
-                rank = (q / 100.0) * (len(values) - 1)
-                lo = int(rank)
-                hi = min(lo + 1, len(values) - 1)
-                frac = rank - lo
-                return values[lo] * (1.0 - frac) + values[hi] * frac
-            # bucket interpolation
-            target = (q / 100.0) * self._count
-            cumulative = 0
-            for idx, bucket_count in enumerate(self._counts):
-                cumulative += bucket_count
-                if cumulative >= target and bucket_count:
-                    upper = (self.buckets[idx] if idx < len(self.buckets)
-                             else self._max)
-                    lower = self.buckets[idx - 1] if idx > 0 else 0.0
-                    upper = min(upper, self._max)
-                    lower = max(lower, self._min if idx == 0 else lower)
-                    if upper <= lower:
-                        return upper
-                    frac = (target - (cumulative - bucket_count)) / bucket_count
-                    return lower + (upper - lower) * min(1.0, max(0.0, frac))
-            return self._max
+            counts, low, high = list(self._counts), self._min, self._max
+        return percentile_from_counts(self.buckets, counts, q, low, high)
 
     def merge_counts(self, counts: Sequence[int], total: int, total_sum: float,
                      minimum: float, maximum: float) -> None:
@@ -371,6 +338,29 @@ class MetricFamily:
         self._solo().observe(value, exemplar=exemplar)
 
 
+class ChildMap(dict):
+    """One family's children keyed by label values, each bound on first use.
+
+    ``children[model]`` (a one-label family) or ``children[model, stage]``
+    (values in ``labelnames`` order) is a plain dict lookup once the child
+    exists — what per-request paths use instead of ``labels(**kw)``, which
+    builds and checks a kwargs dict on every call.  Children stay bound
+    for the map's life, so a family read through a map is never cleared.
+    """
+
+    __slots__ = ("family",)
+
+    def __init__(self, family: MetricFamily):
+        super().__init__()
+        self.family = family
+
+    def __missing__(self, key):
+        values = key if isinstance(key, tuple) else (key,)
+        child = self[key] = self.family.labels(
+            **dict(zip(self.family.labelnames, values)))
+        return child
+
+
 # --------------------------------------------------------------------- registry
 class MetricsRegistry:
     """A named collection of metric families.
@@ -413,10 +403,9 @@ class MetricsRegistry:
     def histogram(self, name: str, help: str = "",
                   labelnames: Sequence[str] = (),
                   buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_S,
-                  window: int = 0, exemplars: int = 0) -> MetricFamily:
+                  exemplars: int = 0) -> MetricFamily:
         return self._get_or_create(name, "histogram", help, labelnames,
-                                   buckets=buckets, window=window,
-                                   exemplars=exemplars)
+                                   buckets=buckets, exemplars=exemplars)
 
     def families(self) -> List[MetricFamily]:
         with self._lock:
@@ -577,13 +566,16 @@ def merge_exemplars(a: Sequence[Sequence], b: Sequence[Sequence],
 
 
 def percentile_from_counts(bounds: Sequence[float], counts: Sequence[int],
-                           q: float) -> float:
-    """q-th percentile (0..100) from a histogram dump's bucket counts.
+                           q: float, low: Optional[float] = None,
+                           high: Optional[float] = None) -> float:
+    """q-th percentile (0..100) from a histogram's bucket counts.
 
-    Linear interpolation within the matching bucket — the same estimate a
-    live :class:`Histogram` without a raw window would give, usable on
-    merged fleet dumps where no raw samples exist (``djinn top``).
-    ``counts`` is per-bucket (non-cumulative), last entry the +Inf bucket.
+    Linear interpolation within the matching bucket — usable on merged
+    fleet dumps where no raw samples exist (``djinn top``,
+    ``DjinnClient.stats``).  ``counts`` is per-bucket (non-cumulative),
+    last entry the +Inf bucket.  ``low``/``high``, the observed min and
+    max when known, clamp the bucket's edges: the estimate then never
+    leaves the observed range, and the +Inf bucket tops out at the max.
     """
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
@@ -598,11 +590,15 @@ def percentile_from_counts(bounds: Sequence[float], counts: Sequence[int],
         if cumulative >= target and bucket_count:
             upper = bounds[idx] if idx < len(bounds) else bounds[-1] * 2.0
             lower = bounds[idx - 1] if idx > 0 else 0.0
+            if high is not None:
+                upper = high if idx == len(bounds) else min(upper, high)
+            if low is not None:
+                lower = max(lower, low)
             if upper <= lower:
                 return upper
             frac = (target - (cumulative - bucket_count)) / bucket_count
             return lower + (upper - lower) * min(1.0, max(0.0, frac))
-    return bounds[-1]
+    return bounds[-1] if high is None else high
 
 
 def merge_dumps(dumps: Iterable[dict]) -> dict:

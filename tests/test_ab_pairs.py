@@ -74,3 +74,50 @@ def test_record_round_trips(tmp_path):
     assert (row["wins"], row["n"]) == (3, 4)
     assert row["ref_median"] == 5.5 and row["change_median"] == 4.5
     assert row["p"] == pytest.approx(0.625)
+
+
+_ENV = {"git_sha": "abc", "seed": 3, "rounds": 3,
+        "host.calib_ms": [20.0, 24.0, 22.0],
+        "host.steal_share": [0.0, 0.02, 0.01]}
+
+
+def _run(calib, steal):
+    env = dict(_ENV, **{"host.calib_ms": calib, "host.steal_share": steal})
+    lines = ["== dig_dup_cache  seed 3 ==", "requests: issued 10",
+             "env: " + json.dumps(env, sort_keys=True), '{"metrics": {}}']
+    return {"host": ab_pairs.host_env(lines)}
+
+
+def test_host_env_takes_each_figure_median_over_rounds():
+    lines = ["layers", "env: " + json.dumps(_ENV), '{"metrics": {}}']
+    assert ab_pairs.host_env(lines) == {"host.calib_ms": 22.0,
+                                        "host.steal_share": 0.01}
+    assert ab_pairs.host_env(['{"metrics": {}}']) == {}
+
+
+def test_host_medians_per_side_and_drift_line():
+    runs = {"ref": [_run([20.0], [0.0]), _run([22.0], [0.1]),
+                    _run([30.0], [0.0])],
+            "change": [_run([22.0], [0.0]), _run([24.2], [0.0]),
+                       _run([26.0], [0.2])]}
+    host = ab_pairs.host_medians(runs)
+    assert host == {"ref": {"host.calib_ms": 22.0, "host.steal_share": 0.0},
+                    "change": {"host.calib_ms": 24.2,
+                               "host.steal_share": 0.0}}
+    line = ab_pairs.host_line(host)
+    assert line.startswith("host: ")
+    assert "host.calib_ms ref 22.0000 change 24.2000 (x1.100)" in line
+    assert "host.steal_share ref 0.0000 change 0.0000" in line
+
+
+def test_record_line_carries_both_sides_host_medians(tmp_path):
+    host = {"ref": {"host.calib_ms": 22.0, "host.steal_share": 0.01},
+            "change": {"host.calib_ms": 23.0, "host.steal_share": 0.0}}
+    stats = {"latency_p50_ms": ab_pairs.compare("lower", [2.0], [1.0]),
+             "throughput_rps": ab_pairs.compare("higher", [1.0], [2.0])}
+    path = tmp_path / "history.jsonl"
+    ab_pairs.record(path, {"ref": "a" * 40, "change": "worktree",
+                           "workload": "dig_dup_cache", "host": host}, stats)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [row["metric"] for row in rows] == list(stats)
+    assert all(row["host"] == host for row in rows)

@@ -159,7 +159,7 @@ class TestBatch1FastPath:
         ex.close()
 
     def _hits(self, executor, model="dig"):
-        return executor._fast_hits.labels(model=model).value
+        return executor._fast_hits[model].value
 
     def test_idle_submit_takes_fast_path(self, executor, registry, rng):
         x = rng.normal(size=(1, 1, 32, 32)).astype(np.float32)
@@ -201,7 +201,7 @@ class TestBatch1FastPath:
         try:
             x = rng.normal(size=(1, 1, 32, 32)).astype(np.float32)
             assert ex.submit("dig", x).shape == (1, 10)
-            assert ex._fast_hits.labels(model="dig").value == 0
+            assert ex._fast_hits["dig"].value == 0
         finally:
             ex.close()
 
@@ -284,6 +284,6 @@ class TestGatewayAppForwarding:
         with DjinnClient(*gateway.address) as cli:
             for _ in range(4):
                 cli.infer_app("dig", dig_raw[0])
-        served = [srv.stats.requests("dig") for srv in cluster.servers]
+        served = [srv.ledger.requests["dig"].value for srv in cluster.servers]
         assert sum(served) >= 4  # every request landed on a backend
         assert all(count > 0 for count in served)  # round robin spread

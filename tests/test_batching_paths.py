@@ -58,14 +58,14 @@ def _executor(registry, *, cache=False, tracer=None, pool=None, metrics=None,
         layer_cache=LayerCacheConfig(max_entries=64) if cache else None)
 
 
-def _value(family, **labels):
-    return family.labels(**labels).value
+def _value(children, *key):
+    return children[key if len(key) > 1 else key[0]].value
 
 
 def _stages(executor):
     """``{stage: seconds}`` from ``djinn_stage_seconds_total``."""
     return {key[1]: child.value
-            for key, child in executor._stage_seconds.children()}
+            for key, child in executor._stage_seconds.family.children()}
 
 
 # ---------------------------------------------------- layer cache x fast path
@@ -85,10 +85,10 @@ class TestLayerCacheComposesWithFastPath:
             warm = cached.submit(MODEL, x, trace=(2, 1))
             assert cold.tobytes() == want.tobytes()
             assert warm.tobytes() == want.tobytes()
-            assert _value(cached._fast_hits, model=MODEL) == 2
+            assert _value(cached._fast_hits, MODEL) == 2
             events = cached._layer_cache_events
-            assert _value(events, model=MODEL, event="miss") == 1
-            assert _value(events, model=MODEL, event="hit") == 1
+            assert _value(events, MODEL, "miss") == 1
+            assert _value(events, MODEL, "hit") == 1
             probes = [s for s in tracer.spans() if s.name == "engine.cache"]
             assert len(probes) == 2
             assert not cached._workers, "no worker was ever woken"
@@ -114,8 +114,8 @@ class TestLayerCacheComposesWithFastPath:
             assert queued.tobytes() == inline.tobytes()
             assert again.tobytes() == first.tobytes()
             events = executor._layer_cache_events
-            assert _value(events, model=MODEL, event="miss") == 2
-            assert _value(events, model=MODEL, event="hit") == 2
+            assert _value(events, MODEL, "miss") == 2
+            assert _value(events, MODEL, "hit") == 2
             assert len(executor.layer_caches) == 1
         finally:
             executor.close()
@@ -134,13 +134,13 @@ class TestLayerCacheComposesWithFastPath:
             assert cold.tobytes() == net.forward(x).tobytes()
             assert warm.tobytes() == cold.tobytes()
             events = executor._layer_cache_events
-            assert _value(events, model=MODEL, event="miss") == 1
-            assert _value(events, model=MODEL, event="hit") == 1
+            assert _value(events, MODEL, "miss") == 1
+            assert _value(events, MODEL, "hit") == 1
             executor._fast_off.add(MODEL)   # force the slot ring
             ring = executor.submit(MODEL, x)
             assert ring.tobytes() == cold.tobytes()
-            assert _value(events, model=MODEL, event="hit") == 1
-            assert _value(events, model=MODEL, event="miss") == 1
+            assert _value(events, MODEL, "hit") == 1
+            assert _value(events, MODEL, "miss") == 1
         finally:
             executor.close()
             pool.close()
@@ -193,7 +193,7 @@ def test_both_callers_account_a_request_alike(registry, raws, kind, cache):
                 answers.append(answer)
                 wall += took
             stage_s = sum(_stages(executor).values()) - before
-            fast = _value(executor._fast_hits, model=MODEL)
+            fast = _value(executor._fast_hits, MODEL)
         finally:
             executor.close()
         assert fast == (len(payloads) + 1 if caller == "inline" else 0)
@@ -279,7 +279,7 @@ def test_contended_lock_does_not_preprocess_twice(registry, raws):
         released.set()
         holder.join()
         executor.close()
-    assert _value(executor._fast_hits, model=MODEL) == 0  # it did decline
+    assert _value(executor._fast_hits, MODEL) == 0  # it did decline
     reference = DigApp(backend=None)
     assert answer == reference.postprocess(
         registry.get(MODEL).forward(reference.preprocess(raws[0])), raws[0])
@@ -355,13 +355,13 @@ def _delta(after, before):
 def test_stage_seconds_sum_to_the_wall_on_every_serve_path(
         served, registry, raws, path, kind):
     """Every serve path accounts a ``net.forward`` sample, and what the
-    stages (up to the reply) add up to is the wall ``ServiceStats`` saw."""
+    stages (up to the reply) add up to is the wall the ledger saw."""
     server, client = served[path]
-    latency = server.stats._latency.labels(model=MODEL)
+    latency = server.ledger.latency[MODEL]
 
     def measured():
         stages = {key[1]: child.value
-                  for key, child in server._stage_seconds.children()
+                  for key, child in server._stage_seconds.family.children()
                   if key[0] == MODEL}
         # ``respond`` runs after the latency stamp, so it is not in the wall
         return stages, sum(stages.values()) - stages.get("respond", 0.0)

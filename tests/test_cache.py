@@ -142,6 +142,14 @@ class TestResponseKey:
 
 
 # ======================================================== response cache
+def reply_tensor(entry):
+    """The tensor an entry's stored reply frame carries."""
+    a, b = socket.socketpair()
+    with a, b:
+        a.sendall(entry.frame)
+        return recv_message(b).tensor
+
+
 class TestResponseCacheUnit:
     @staticmethod
     def _tensor(i, floats=8):
@@ -193,7 +201,7 @@ class TestResponseCacheUnit:
         # the honest identity still hits
         entry = cache.get(b"same-digest", "dig", 0)
         assert entry is not None
-        np.testing.assert_array_equal(entry.tensor, self._tensor(1))
+        np.testing.assert_array_equal(reply_tensor(entry), self._tensor(1))
 
     def test_concurrent_probe_insert_stays_invariant(self):
         one = self._tensor(0).nbytes
@@ -212,7 +220,7 @@ class TestResponseCacheUnit:
                         cache.put(key, "m", 0, tensor=self._tensor(which))
                     else:
                         np.testing.assert_array_equal(
-                            entry.tensor, self._tensor(which))
+                            reply_tensor(entry), self._tensor(which))
                     assert cache.bytes <= budget
             except Exception as exc:  # surface across the thread boundary
                 errors.append(exc)

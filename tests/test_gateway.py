@@ -1,4 +1,5 @@
-"""Gateway tests: routing policies, fault tolerance, stats aggregation."""
+"""Gateway tests: routing policies, fault tolerance, the per-request ledger,
+response-cache hit replay."""
 
 import threading
 import time
@@ -21,11 +22,12 @@ from repro.gateway import (
     BackendPool,
     RetryPolicy,
     Router,
-    merge_stats,
     rendezvous_score,
 )
 from repro.core.protocol import Message, MessageType
 from repro.core.server import TcpServiceBase
+from repro.core.stats import RequestLedger, summarize
+from repro.obs import MetricsRegistry, merge_dumps, parse_exposition
 from repro.models import lenet5, senna
 
 
@@ -147,32 +149,38 @@ class TestRetryPolicy:
             RetryPolicy(jitter_frac=1.5)
 
 
+def ledger_dump(model, latencies, inputs=1):
+    """A backend registry dump holding one ledger's records."""
+    metrics = MetricsRegistry()
+    ledger = RequestLedger(metrics)
+    for latency in latencies:
+        ledger.record(model, latency, inputs=inputs)
+    return metrics.dump()
+
+
 class TestMergeStats:
+    """Fleet stats: the summary of bucket-merged backend dumps."""
+
     def test_counts_sum_and_means_weight(self):
-        a = {"pos": {"requests": 3.0, "inputs": 6.0, "mean_ms": 10.0,
-                     "p50_ms": 9.0, "p95_ms": 20.0, "p99_ms": 30.0, "qps": 5.0}}
-        b = {"pos": {"requests": 1.0, "inputs": 2.0, "mean_ms": 50.0,
-                     "p50_ms": 45.0, "p95_ms": 60.0, "p99_ms": 70.0, "qps": 2.0}}
-        merged = merge_stats([a, b])["pos"]
+        a = ledger_dump("pos", [0.010] * 3, inputs=2)
+        b = ledger_dump("pos", [0.050], inputs=2)
+        merged = summarize(merge_dumps([a, b]))["pos"]
         assert merged["requests"] == 4.0
         assert merged["inputs"] == 8.0
-        assert merged["qps"] == 7.0
-        assert merged["backends"] == 2.0
         assert merged["mean_ms"] == pytest.approx(20.0)  # (3*10 + 1*50) / 4
-        assert merged["p99_ms"] == pytest.approx(40.0)
+        assert 10.0 <= merged["p50_ms"] <= 12.8  # inside the 10 ms bucket
+        assert merged["p99_ms"] <= merged["max_ms"] == pytest.approx(50.0)
 
     def test_disjoint_models_pass_through(self):
-        merged = merge_stats([
-            {"dig": {"requests": 2.0, "mean_ms": 1.0}},
-            {"pos": {"requests": 5.0, "mean_ms": 3.0}},
-        ])
+        merged = summarize(merge_dumps([ledger_dump("dig", [0.001] * 2),
+                                        ledger_dump("pos", [0.003] * 5)]))
         assert merged["dig"]["requests"] == 2.0
-        assert merged["pos"]["mean_ms"] == 3.0
-        assert merged["dig"]["backends"] == 1.0
+        assert merged["pos"]["mean_ms"] == pytest.approx(3.0)
 
     def test_zero_request_snapshot_does_not_divide_by_zero(self):
-        merged = merge_stats([{"dig": {"requests": 0.0, "mean_ms": 0.0}}])
-        assert merged["dig"]["mean_ms"] == 0.0
+        metrics = MetricsRegistry()
+        RequestLedger(metrics).latency["dig"]  # bound, nothing recorded
+        assert summarize(metrics.dump()) == {}
 
 
 @pytest.fixture
@@ -224,12 +232,12 @@ class TestGatewayService:
         with DjinnClient(*gateway.address) as cli:
             for _ in range(6):
                 cli.infer("pos", x)
-        served = [srv.stats.requests("pos") for srv in cluster.servers]
+        served = [srv.ledger.requests["pos"].value for srv in cluster.servers]
         assert sum(served) == 6
         assert all(count == 2 for count in served)
 
     def test_stats_aggregate_across_fleet(self, fleet, rng):
-        _, gateway = fleet
+        cluster, gateway = fleet
         x = rng.normal(size=(2, 300)).astype(np.float32)
         with DjinnClient(*gateway.address) as cli:
             for _ in range(5):
@@ -237,7 +245,8 @@ class TestGatewayService:
             stats = cli.stats()
         assert stats["pos"]["requests"] == 5.0
         assert stats["pos"]["inputs"] == 10.0
-        assert stats["pos"]["backends"] == 3.0  # round-robin touched everyone
+        # round-robin touched everyone, and the summary is their sum
+        assert all(srv.ledger.requests["pos"].value for srv in cluster.servers)
         assert stats["pos"]["p95_ms"] >= 0.0
         # the gateway's own end-to-end accounting rides along
         assert stats["gateway:pos"]["requests"] == 5.0
@@ -248,7 +257,8 @@ class TestGatewayService:
             with pytest.raises(DjinnServiceError, match="not loaded"):
                 cli.infer("asr", np.zeros((1, 440), np.float32))
         # a model-level error burns one backend attempt, not the whole budget
-        assert sum(srv.stats.requests("asr") for srv in cluster.servers) == 0
+        assert sum(srv.ledger.requests["asr"].value
+                   for srv in cluster.servers) == 0
 
     def test_killed_backend_marked_down_and_requests_survive(self, fleet, rng):
         cluster, gateway = fleet
@@ -422,69 +432,40 @@ class TestClientReconnect:
 
 class TestServiceStatsExtensions:
     def test_snapshot_has_p95_and_qps(self):
-        from repro.core import ServiceStats
-
-        stats = ServiceStats()
-        for i in range(20):
-            stats.record("pos", 0.01)
-        snap = stats.snapshot()["pos"]
+        metrics = MetricsRegistry()
+        ledger = RequestLedger(metrics)
+        for _ in range(20):
+            ledger.record("pos", 0.01)
+        snap = summarize(metrics.dump())["pos"]
         assert snap["p95_ms"] == pytest.approx(10.0)
-        assert snap["qps"] > 0.0
         assert snap["p50_ms"] <= snap["p95_ms"] <= snap["p99_ms"]
 
-    def test_single_sample_has_zero_qps(self):
-        from repro.core import ServiceStats
-
-        stats = ServiceStats()
-        stats.record("dig", 0.005)
-        assert stats.snapshot()["dig"]["qps"] == 0.0
-
-    def test_reset_clears_everything(self):
-        from repro.core import ServiceStats
-
-        stats = ServiceStats()
-        stats.record("dig", 0.005)
-        stats.reset()
-        assert stats.snapshot() == {}
-        assert stats.requests("dig") == 0
+    def test_single_sample_reads_as_every_quantile(self):
+        snap = summarize(ledger_dump("dig", [0.005]))["dig"]
+        for key in ("mean_ms", "p50_ms", "p95_ms", "p99_ms", "max_ms"):
+            assert snap[key] == pytest.approx(5.0), key
 
 
 class TestServiceStatsObservability:
     def test_snapshot_has_max_and_window(self):
-        from repro.core import ServiceStats
-
-        stats = ServiceStats(window=4)
+        metrics = MetricsRegistry()
+        ledger = RequestLedger(metrics)
         for latency in (0.001, 0.040, 0.002):
-            stats.record("dig", latency)
-        snap = stats.snapshot()["dig"]
-        assert snap["max_ms"] == pytest.approx(40.0)
-        assert snap["window"] == 3.0
-        # window is bounded, max is all-time
+            ledger.record("dig", latency)
+        assert summarize(metrics.dump())["dig"]["max_ms"] == pytest.approx(40.0)
         for _ in range(6):
-            stats.record("dig", 0.001)
-        snap = stats.snapshot()["dig"]
-        assert snap["window"] == 4.0
-        assert snap["max_ms"] == pytest.approx(40.0)
-
-    def test_injected_clock_drives_qps(self):
-        from repro.core import ServiceStats
-
-        now = [100.0]
-        stats = ServiceStats(clock=lambda: now[0])
-        for _ in range(5):
-            stats.record("pos", 0.01)
-            now[0] += 0.5  # 5 requests over 2.0s of fake time
-        assert stats.snapshot()["pos"]["qps"] == pytest.approx(5 / 2.0)
+            ledger.record("dig", 0.001)
+        snap = summarize(metrics.dump())["dig"]
+        assert snap["requests"] == 9.0
+        assert snap["max_ms"] == pytest.approx(40.0)  # all-time
 
     def test_stats_surface_in_metrics_registry(self):
-        """The same numbers back STATS (JSON) and METRICS (exposition)."""
-        from repro.core import ServiceStats
-        from repro.obs import parse_exposition
-
-        stats = ServiceStats()
+        """The ledger's families are what METRICS exposes."""
+        metrics = MetricsRegistry()
+        ledger = RequestLedger(metrics)
         for _ in range(3):
-            stats.record("dig", 0.004, inputs=2)
-        samples = parse_exposition(stats.registry.expose())
+            ledger.record("dig", 0.004, inputs=2)
+        samples = parse_exposition(metrics.expose())
         key = (("model", "dig"),)
         assert samples["djinn_requests_total"][key] == 3
         assert samples["djinn_inputs_total"][key] == 6
@@ -493,17 +474,11 @@ class TestServiceStatsObservability:
 
 class TestMergeStatsObservability:
     def test_max_and_window_merge(self):
-        a = {"pos": {"requests": 2.0, "mean_ms": 5.0, "max_ms": 11.0,
-                     "window": 2.0}}
-        b = {"pos": {"requests": 3.0, "mean_ms": 5.0, "max_ms": 40.0,
-                     "window": 3.0}}
-        merged = merge_stats([a, b])["pos"]
-        assert merged["max_ms"] == 40.0   # fleet max, not a sum
-        assert merged["window"] == 5.0    # samples available fleet-wide
-
-    def test_snapshots_without_new_fields_still_merge(self):
-        merged = merge_stats([{"pos": {"requests": 2.0, "mean_ms": 5.0}}])
-        assert "max_ms" not in merged["pos"]
+        a = ledger_dump("pos", [0.005, 0.011])
+        b = ledger_dump("pos", [0.005, 0.005, 0.040])
+        merged = summarize(merge_dumps([a, b]))["pos"]
+        assert merged["max_ms"] == pytest.approx(40.0)  # fleet max, not a sum
+        assert merged["requests"] == 5.0
 
 
 class TestGatewayObservability:
@@ -862,3 +837,175 @@ class TestTypedRefusalsRelayedVerbatim:
                     got = edge.exchange(_unary_frame(kind, bad))
                 assert want.text and (got.type, got.text) == (want.type, want.text)
                 assert not gateway.metrics.get("gateway_retries_total").children()
+
+
+# ============================================== response-cache hit replay
+def _reply_frame(address, request: Message) -> bytes:
+    """One raw exchange: the reply frame exactly as the gateway encoded it."""
+    import socket
+
+    from repro.core.protocol import encode_message, recv_message, send_message
+
+    with socket.create_connection(address) as sock:
+        send_message(sock, request)
+        return encode_message(recv_message(sock))
+
+
+@pytest.fixture
+def cached_fleet(registry):
+    """One backend behind a gateway with the response cache armed."""
+    with ClusterLauncher(registry, backends=1) as cluster:
+        with GatewayServer(cluster.addresses, cache_mb=1.0,
+                           health_interval_s=30.0) as gateway:
+            yield cluster, gateway
+
+
+class TestCacheHitReplay:
+    @staticmethod
+    def _request(x, trace=(0, 0)):
+        return Message(MessageType.INFER_REQUEST, name="dig", tensor=x,
+                       trace_id=trace[0], span_id=trace[1])
+
+    def test_hit_frame_is_the_miss_frame_with_the_callers_trace(
+            self, cached_fleet, rng):
+        import struct
+
+        _, gateway = cached_fleet
+        x = rng.normal(size=(1, 1, 32, 32)).astype(np.float32)
+        miss = _reply_frame(gateway.address, self._request(x, (5, 6)))
+        hit = _reply_frame(gateway.address, self._request(x, (7, 8)))
+        untraced = _reply_frame(gateway.address, self._request(x))
+        assert gateway.cache.stats()["hits"] == 2
+        assert miss[9:25] == struct.pack("<QQ", 5, 6)
+        assert hit[9:25] == struct.pack("<QQ", 7, 8)
+        assert untraced[9:25] == bytes(16)
+        for frame in (hit, untraced):
+            assert (frame[:9], frame[25:]) == (miss[:9], miss[25:])
+
+    def test_hit_never_encodes(self, cached_fleet, rng, monkeypatch):
+        """A hit sends the stored frame: with ``encode_message`` broken
+        everywhere the gateway's serve path could reach it, the hit is
+        still answered."""
+        import socket
+
+        import repro.core.server
+        import repro.gateway.cache
+        import repro.gateway.server
+        from repro.core.protocol import encode_message, recv_message
+
+        _, gateway = cached_fleet
+        x = rng.normal(size=(1, 1, 32, 32)).astype(np.float32)
+        request = encode_message(self._request(x))
+        with socket.create_connection(gateway.address) as sock:
+            sock.sendall(request)
+            want = recv_message(sock)
+
+            def broken(message):
+                raise AssertionError("a cache hit encoded a frame")
+
+            for module in (repro.core.server, repro.gateway.cache,
+                           repro.gateway.server):
+                monkeypatch.setattr(module, "encode_message", broken)
+            sock.sendall(request)
+            got = recv_message(sock)
+        assert got.type == MessageType.INFER_RESPONSE
+        assert got.tensor.tobytes() == want.tensor.tobytes()
+        assert gateway.cache.stats()["hits"] == 1
+
+    def test_send_fault_site_fires_on_a_hit_as_on_a_miss(
+            self, cached_fleet, registry, rng):
+        """A ``protocol.send`` truncate rule on INFER_RESPONSE: on a miss
+        the backend's reply is event 1 and the gateway's event 2; a hit
+        sends only the gateway's.  Firing on 2 and 3 truncates the miss
+        and the hit that follows it alike."""
+        from repro.faults import FaultPlan, FaultRule
+
+        _, gateway = cached_fleet
+        x = rng.normal(size=(1, 1, 32, 32)).astype(np.float32)
+        plan = FaultPlan(rules=(FaultRule(
+            "protocol.send", "truncate", scope="INFER_RESPONSE",
+            nth=(2, 3)),))
+        with DjinnClient(*gateway.address) as cli:
+            with plan.armed() as injector:
+                for _ in range(2):  # the miss, then the hit
+                    with pytest.raises(DjinnConnectionError):
+                        cli.infer("dig", x)
+                assert injector.fires() == {
+                    "protocol.send:truncate:INFER_RESPONSE": 2}
+                out = cli.infer("dig", x)  # event 4: a clean hit
+        np.testing.assert_allclose(out, registry.get("dig").forward(x),
+                                   rtol=1e-5)
+        assert gateway.cache.stats()["hits"] == 2
+        assert gateway.cache.stats()["misses"] == 1
+
+    def test_budget_still_charged_in_payload_bytes(self, registry, rng):
+        """At ``cache_mb=0.02`` a dig reply charges its 40 payload bytes,
+        not its frame: 20971 // 40 = 524 entries, as before frames were
+        kept."""
+        budget = int(0.02 * 1024 * 1024)
+        with ClusterLauncher(registry, backends=1) as cluster:
+            with GatewayServer(cluster.addresses, cache_mb=0.02,
+                               health_interval_s=30.0) as gateway:
+                xs = rng.normal(size=(530, 1, 1, 32, 32)).astype(np.float32)
+                with DjinnClient(*gateway.address) as cli:
+                    for x in xs:
+                        cli.infer("dig", x)
+                stats = gateway.cache.stats()
+        assert len(xs) - stats["evictions"] == stats["entries"] \
+            == budget // 40 == 524
+        assert stats["bytes"] == 524 * 40
+
+
+# ================================================== one ledger per request
+def _ledger_totals(dump, prefix):
+    """``(requests, inputs, histogram count)`` of one tier's dig ledger."""
+    metrics = dump["metrics"]
+
+    def value(name, field):
+        entry = metrics.get(name, {"samples": ()})
+        return sum(s[field] for s in entry["samples"]
+                   if s["labels"]["model"] == "dig")
+
+    return (value(f"{prefix}_requests_total", "value"),
+            value(f"{prefix}_inputs_total", "value"),
+            value(f"{prefix}_request_latency_seconds", "count"))
+
+
+class TestLedgerConservation:
+    def test_each_tier_records_what_it_served_once(self, cached_fleet, rng):
+        """Hits, misses, APP frames and typed refusals through gateway →
+        backend: each tier's request counter, input counter and latency
+        histogram move by exactly what that tier answered, and
+        ``client.stats()`` reads the same histograms."""
+        _, gateway = cached_fleet
+        one = rng.normal(size=(1, 1, 32, 32)).astype(np.float32)
+        two = rng.normal(size=(2, 1, 32, 32)).astype(np.float32)
+        raw = (rng.random((1, 28, 28)) * 255).astype(np.uint8)
+        with DjinnClient(*gateway.address) as cli:
+            before = cli.metrics()
+            cli.infer("dig", one)          # miss      gateway 1 / backend 1
+            cli.infer("dig", one)          # hit       gateway 1
+            cli.infer("dig", two)          # miss      gateway 2 / backend 2
+            cli.infer_app("dig", raw)      # APP miss  gateway 1 / backend 1
+            cli.infer_app("dig", raw)      # APP hit   gateway 1
+            with pytest.raises(DjinnServiceError):   # typed refusal
+                cli.infer("dig", np.zeros((1, 1, 30, 30), np.float32))
+            after = cli.metrics()
+            stats = cli.stats()
+        served = {"gateway": (5, 6, 5), "djinn": (3, 4, 3)}
+        for prefix, want in served.items():
+            delta = tuple(a - b for a, b in zip(_ledger_totals(after, prefix),
+                                                _ledger_totals(before, prefix)))
+            assert delta == want, prefix
+        for key, prefix in (("dig", "djinn"), ("gateway:dig", "gateway")):
+            (hist,) = [s for s in after["metrics"][
+                f"{prefix}_request_latency_seconds"]["samples"]
+                if s["labels"]["model"] == "dig"]
+            summary = stats[key]
+            assert summary["requests"] == hist["count"]
+            assert summary["mean_ms"] == pytest.approx(
+                hist["sum"] / hist["count"] * 1e3)
+            assert summary["max_ms"] == pytest.approx(hist["max"] * 1e3)
+            assert (hist["min"] * 1e3 <= summary["p50_ms"]
+                    <= summary["p95_ms"] <= summary["p99_ms"]
+                    <= summary["max_ms"])

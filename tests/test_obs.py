@@ -79,18 +79,9 @@ class TestHistogram:
         assert hist.min == 0.0 and hist.max == 0.0
         assert hist.percentile(95) == 0.0
 
-    def test_window_percentiles_are_exact(self):
-        hist = Histogram(buckets=(1.0, 2.0), window=100)
-        for v in range(1, 101):  # 1..100
-            hist.observe(float(v))
-        assert hist.percentile(0) == pytest.approx(1.0)
-        assert hist.percentile(50) == pytest.approx(50.5)
-        assert hist.percentile(95) == pytest.approx(95.05)
-        assert hist.percentile(100) == pytest.approx(100.0)
-
     def test_bucket_percentile_fallback_is_bounded(self):
-        """Without a window, percentiles interpolate within the matching
-        bucket — always between the true min and max."""
+        """Percentiles interpolate within the matching bucket — always
+        between the true min and max."""
         hist = Histogram(buckets=(1e-3, 1e-2, 1e-1))
         for v in (0.004, 0.005, 0.006, 0.007):
             hist.observe(v)
@@ -122,7 +113,7 @@ class TestHistogram:
             Histogram(buckets=())
 
     def test_thread_safety_under_concurrent_observe(self):
-        hist = Histogram(buckets=(0.5,), window=64)
+        hist = Histogram(buckets=(0.5,))
         n, threads = 2000, []
         for _ in range(4):
             t = threading.Thread(

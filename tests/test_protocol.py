@@ -100,9 +100,9 @@ class TestRoundtrip:
     def test_back_to_back_frames(self, sock_pair):
         a, b = sock_pair
         send_message(a, Message(MessageType.LIST_REQUEST))
-        send_message(a, Message(MessageType.STATS_REQUEST))
+        send_message(a, Message(MessageType.METRICS_REQUEST))
         assert recv_message(b).type == MessageType.LIST_REQUEST
-        assert recv_message(b).type == MessageType.STATS_REQUEST
+        assert recv_message(b).type == MessageType.METRICS_REQUEST
 
     def test_large_tensor(self, sock_pair, rng):
         """A payload larger than the kernel socket buffer needs a concurrent
@@ -138,9 +138,9 @@ class TestTraceContext:
         """A hand-packed frame from a sender with no trace context: the
         zero trace block reads as absent, everything else intact."""
         a, b = sock_pair
-        a.sendall(pack_frame(Message(_T.STATS_REQUEST)))
+        a.sendall(pack_frame(Message(_T.METRICS_REQUEST)))
         out = recv_message(b)
-        assert (out.type, out.trace_id, out.span_id) == (_T.STATS_REQUEST, 0, 0)
+        assert (out.type, out.trace_id, out.span_id) == (_T.METRICS_REQUEST, 0, 0)
 
     def test_traced_error_and_text_frames(self, sock_pair):
         assert_roundtrips(sock_pair, Message(MessageType.ERROR, text="boom",

@@ -5,7 +5,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import BatchingExecutor, BatchPolicy, ModelRegistry, ServiceStats
+from repro.core import BatchingExecutor, BatchPolicy, ModelRegistry, RequestLedger
+from repro.core.stats import summarize
+from repro.obs import DEFAULT_LATENCY_BUCKETS_S, MetricsRegistry
 from repro.models import lenet5, senna
 from repro.nn import Net
 
@@ -56,26 +58,26 @@ class TestRegistry:
 
 class TestServiceStats:
     def test_snapshot_summary(self):
-        stats = ServiceStats()
+        metrics = MetricsRegistry()
+        ledger = RequestLedger(metrics)
         for latency in (0.010, 0.020, 0.030):
-            stats.record("pos", latency, inputs=28)
-        snap = stats.snapshot()["pos"]
+            ledger.record("pos", latency, inputs=28)
+        snap = summarize(metrics.dump())["pos"]
         assert snap["requests"] == 3
         assert snap["inputs"] == 84
         assert snap["mean_ms"] == pytest.approx(20.0)
         assert snap["p99_ms"] <= 30.0 + 1e-6
 
     def test_window_bounds_memory(self):
-        stats = ServiceStats(window=10)
+        """The ledger keeps bucket counts, not samples: its memory is
+        fixed however many requests it records."""
+        metrics = MetricsRegistry()
+        ledger = RequestLedger(metrics)
         for i in range(100):
-            stats.record("x", 0.001 * i)
-        assert stats.requests("x") == 100
-        snap = stats.snapshot()["x"]
-        assert snap["mean_ms"] >= 90.0  # only the last 10 retained
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            ServiceStats(window=0)
+            ledger.record("x", 0.001 * i)
+        assert ledger.requests["x"].value == 100
+        assert (len(ledger.latency["x"].counts())
+                == len(DEFAULT_LATENCY_BUCKETS_S) + 1)
 
 
 class TestBatchingExecutor:
