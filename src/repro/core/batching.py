@@ -37,9 +37,14 @@ The routine has two callers:
   work (coalescing wins), a service floor (pacing lives in the worker), an
   armed fault plan (hook order must stay deterministic per seed), a closed
   executor, an already-expired deadline under a scheduler (the EDF queue
-  owns typed rejection), a request wider than the envelope, or a busy plan
-  lock.  Rows preprocessed before a decline ride along in the enqueued
-  request, so an app payload is preprocessed exactly once.
+  owns typed rejection), a request wider than the envelope, or every plan
+  lane it may use busy.  A zero-wait policy may use up to one lane per
+  usable CPU, then (under a proc pool) a slot taken from the submitter's
+  own thread, so concurrent submitters on an idle model run in parallel; a
+  coalescing window tries the first lane only, so a second concurrent
+  request queues and joins the worker's batch.  Rows
+  preprocessed before a decline ride along in the enqueued request, so an
+  app payload is preprocessed exactly once.
 
 Result hand-off: payloads are gathered straight into the plan's input
 slab, and each executed batch is copied out of the arena (or the pool
@@ -392,16 +397,21 @@ class BatchingExecutor:
         rows = len(pending.inputs)
         if not 0 < rows <= self.policy.max_batch:
             return False
-        plan = self.registry.plan(model, rows)
-        if not plan.lock.acquire(blocking=False):
-            return False  # a concurrent batch owns the arena
+        # zero wait: any lane, else a pool slot from this thread; a window
+        # tries lane 0 only, so a busy plan sends the request to coalesce
+        zero_wait = not self.policy.timeout_ms
+        plan = self.registry.acquire(model, rows, None if zero_wait else 1)
+        if plan is None and not (zero_wait and self.pool is not None
+                                 and rows <= self.pool.max_batch):
+            return False  # concurrent batches own every usable lane
         try:
             # this thread's dispatch work (guards, plan lookup, lock) is the
             # request's batch assembly — keeps inline traces gap-free
             rec.start = pending.pre_end or pending.enqueue_s
             self._serve(model, batch, rec, plan)
         finally:
-            plan.lock.release()
+            if plan is not None:
+                plan.lock.release()
         return True
 
     # ------------------------------------------------------------ collecting

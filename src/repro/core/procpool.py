@@ -409,6 +409,8 @@ class ProcPoolExecutor:
         self._seq = 0
         self._closed = False
         self._stopping = threading.Event()
+        #: set once every worker has exited: the collector stops polling
+        self._reaped = threading.Event()
         self._waiters: Dict[int, _Waiter] = {}
         self._free: "queue.Queue[int]" = queue.Queue()
         for slot in range(slot_count):
@@ -416,7 +418,10 @@ class ProcPoolExecutor:
 
         self._ctx = multiprocessing.get_context("fork")
         self._work_q = self._ctx.Queue()
-        self._resp_q = self._ctx.Queue()
+        # a worker writes its replies itself (no feeder thread): one that
+        # dies between requests then never holds the pipe's shared write
+        # lock, which would silence every other worker's replies for good
+        self._resp_q = self._ctx.SimpleQueue()
         self._plan_dict = fault_plan.to_dict() if fault_plan is not None else None
 
         self._procs: List[multiprocessing.Process] = [
@@ -459,7 +464,9 @@ class ProcPoolExecutor:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=2.0)
-        self._resp_q.put(None)
+        # never a stop sentinel through the reply pipe: a worker killed
+        # inside its reply write leaves the pipe's write lock held for good
+        self._reaped.set()
         self._collector.join(timeout=5.0)
         self._supervisor.join(timeout=5.0)
         # fail anything still waiting: submitters see a non-DONE state
@@ -468,9 +475,9 @@ class ProcPoolExecutor:
             self._waiters.clear()
         for waiter in waiters:
             waiter.event.set()
-        for q in (self._work_q, self._resp_q):
-            q.close()
-            q.cancel_join_thread()
+        self._work_q.close()
+        self._work_q.cancel_join_thread()
+        self._resp_q.close()
         self._workers_gauge.labels().set(0)
 
     def __enter__(self) -> "ProcPoolExecutor":
@@ -603,14 +610,13 @@ class ProcPoolExecutor:
 
     # --------------------------------------------------------- background
     def _collect_loop(self) -> None:
-        while True:
+        while not self._reaped.is_set():
             try:
-                item = self._resp_q.get()
+                if not self._resp_q._reader.poll(0.1):
+                    continue
+                slot, seq = self._resp_q.get()
             except (EOFError, OSError):  # pragma: no cover - teardown race
                 return
-            if item is None:
-                return
-            slot, seq = item
             with self._lock:
                 waiter = self._waiters.get(slot)
             if waiter is not None and waiter.seq == seq:

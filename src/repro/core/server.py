@@ -8,8 +8,9 @@ to the application."
 Each accepted connection gets a worker thread; requests on a connection are
 served in order (clients open several connections for concurrency, as the
 paper's load generator does).  Models live in a shared read-only
-:class:`ModelRegistry`; an optional :class:`BatchingExecutor` coalesces
-concurrent requests per model (§5.1).
+:class:`ModelRegistry`; every forward runs through one
+:class:`BatchingExecutor`, which coalesces concurrent requests per model
+when a batching policy asks it to (§5.1).
 
 :class:`TcpServiceBase` holds the protocol-speaking TCP skeleton (accept
 loop, per-connection workers, hard-stop connection teardown); it is shared
@@ -18,6 +19,7 @@ with the gateway front-end in :mod:`repro.gateway.server`.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import socket
@@ -28,7 +30,6 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ..obs.metrics import ChildMap, MetricsRegistry, merge_dumps
-from ..obs.profile import LayerTimer
 from ..obs.slo import BurnRateMonitor
 from ..obs.trace import Tracer, get_tracer
 from ..sched import DeadlineExceededError
@@ -328,9 +329,9 @@ class DjinnServer(TcpServiceBase):
 
     Every unary request — a tensor ``INFER_REQUEST`` or a raw-payload
     ``APP_REQUEST`` — is served by one routine, :meth:`_serve_unary`:
-    per-kind *prepare*, then one dead-on-arrival check, one dispatch rule
-    (batching executor / bare pool slot / inline), one exception → frame
-    table and one reply path (``docs/architecture.md``, "Request lifecycle").
+    per-kind *prepare*, then one dead-on-arrival check, one hand-off to the
+    :class:`BatchingExecutor`, one exception → frame table and one reply
+    path (``docs/architecture.md``, "Request lifecycle").
 
     Parameters
     ----------
@@ -339,14 +340,21 @@ class DjinnServer(TcpServiceBase):
     host, port:
         Bind address; ``port=0`` picks a free port (see :attr:`address`).
     batching:
-        Optional dynamic batching policy; ``None`` executes each request's
-        inputs as its own forward pass.
+        Optional dynamic batching policy.  ``None`` serves unbatched:
+        the executor runs with :attr:`UNBATCHED`, a zero-wait policy that
+        never holds a request for a second one, so each request's inputs
+        are their own forward pass.  An idle model serves a request on its
+        connection's thread, on one of the registry's plan lanes
+        (:meth:`ModelRegistry.acquire`), so concurrent clients still run
+        in parallel; a request wider than 32 rows runs on a throw-away plan.
+        A batching policy keeps one lane per bucket, so a second
+        concurrent request queues and coalesces.
     service_floor_s:
-        Minimum wall-clock service time per executed forward pass.  The
-        remainder (floor minus compute) is slept with the GIL released, so
-        it paces this instance like a backend whose latency is dominated by
-        an attached device (the paper's one-GPU-per-instance setup, §5.2)
-        rather than by host CPU.  ``0.0`` (default) disables pacing.
+        Minimum wall-clock service time per executed batch.  The remainder
+        (floor minus compute) is slept with the GIL released by the model's
+        batch worker, which serves one batch at a time, so it paces each
+        model like a serial device (the paper's one-GPU-per-instance setup,
+        §5.2) rather than by host CPU.  ``0.0`` (default) disables pacing.
     clock:
         Monotonic time source used for every latency measurement and window
         stamp on this server (injected for testability; the stack
@@ -362,9 +370,14 @@ class DjinnServer(TcpServiceBase):
     workers:
         Optional process-pool spec (``"proc:N"`` or an int N).  When set,
         forwards execute in N forked worker *processes* over shared weights
-        (:class:`repro.core.procpool.ProcPoolExecutor`): with ``batching``
-        the pool runs each assembled batch, without it each request goes
-        straight to a pool slot.  ``None``/``0`` keeps the threaded paths.
+        (:class:`repro.core.procpool.ProcPoolExecutor`): the pool is the
+        executor's runner for every queued batch, its slot envelope the
+        policy's ``max_batch``.  A request served on its own thread (an
+        idle model) runs on a free parent-side plan lane; without
+        ``batching``, one that finds every lane busy takes a pool slot from
+        its thread, so each model keeps up to N batches in flight.  A
+        request wider than the envelope runs on a parent-side plan.
+        ``None``/``0`` keeps every forward in this process.
     worker_fault_plan:
         Optional :class:`repro.faults.FaultPlan` re-armed inside each pool
         worker with a worker-index-derived seed (chaos testing; the parent
@@ -397,14 +410,14 @@ class DjinnServer(TcpServiceBase):
         probe → partial-batch suffix, memoizing suffix outputs for
         duplicate (or, with a tolerance, near-duplicate) inputs.  With
         ``workers="proc:N"`` that is the inline-served and oversize
-        batches only — pool-slot batches cannot probe.  Requires
-        ``batching``; ``None`` (default) keeps the forward path
-        bit-for-bit unchanged.
+        batches only — pool-slot batches cannot probe.  Requires an
+        explicit ``batching`` policy; ``None`` (default) keeps the forward
+        path bit-for-bit unchanged.
     """
 
-    #: pool batch envelope when serving without a batching policy — single
-    #: requests larger than this fall back to an in-parent legacy forward
-    DEFAULT_POOL_BATCH = 32
+    #: the policy ``batching=None`` serves with: never wait for a second
+    #: request, and the 32-row envelope every plan and pool slot is sized to
+    UNBATCHED = BatchPolicy(max_batch=32, timeout_ms=0.0)
 
     def __init__(
         self,
@@ -443,36 +456,27 @@ class DjinnServer(TcpServiceBase):
         self.registry = registry
         self._clock = clock
         self.tracer = tracer if tracer is not None else get_tracer()
-        self.profile_layers = profile_layers
-        self.metrics = MetricsRegistry()
-        self.ledger = RequestLedger(self.metrics)
-        self._errors = self.metrics.counter(
+        self.metrics = metrics = MetricsRegistry()
+        self.ledger = RequestLedger(metrics)
+        self._errors = ChildMap(metrics.counter(
             "djinn_errors_total", "Requests rejected, per model and reason.",
-            ("model", "reason"))
-        self._sched_expired = self.metrics.counter(
-            "djinn_sched_expired_total",
-            "Requests rejected in queue: deadline expired before forward.",
-            ("model",))
-        self._slo = self.metrics.counter(
+            ("model", "reason")))
+        self._slo = ChildMap(metrics.counter(
             "djinn_slo_requests_total",
             "Deadline-carrying requests, per model and outcome "
-            "(met|missed|expired).", ("model", "outcome"))
-        self._stage_seconds = ChildMap(self.metrics.counter(
-            "djinn_stage_seconds_total",
-            "Request-weighted seconds spent per serving stage, per model.",
-            ("model", "stage")))
-        self._streams_total = self.metrics.counter(
+            "(met|missed|expired).", ("model", "outcome")))
+        self._streams_total = ChildMap(metrics.counter(
             "djinn_streams_total",
             "Streams opened, per model and outcome "
-            "(completed|aborted|rejected).", ("model", "outcome"))
-        self._stream_aborted = self.metrics.counter(
+            "(completed|aborted|rejected).", ("model", "outcome")))
+        self._stream_aborted = ChildMap(metrics.counter(
             "djinn_stream_aborted_total",
             "Streams torn down before a final result, per model and reason "
-            "(disconnect|idle|drop|error).", ("model", "reason"))
-        self._stream_chunks = self.metrics.counter(
+            "(disconnect|idle|drop|error).", ("model", "reason")))
+        self._stream_chunks = ChildMap(metrics.counter(
             "djinn_stream_chunks_total",
-            "Stream chunks accepted, per model.", ("model",))
-        self._stream_sessions = self.metrics.gauge(
+            "Stream chunks accepted, per model.", ("model",)))
+        self._stream_sessions = metrics.gauge(
             "djinn_stream_sessions", "Currently open stream sessions.")
         #: explicit app table for APP_REQUEST serving; defaults are
         #: merged in lazily on first use (models may register after init)
@@ -485,35 +489,33 @@ class DjinnServer(TcpServiceBase):
         #: resolved transitions land in the structured log
         self.slo_monitor = BurnRateMonitor(
             clock=clock, logger=logging.getLogger("repro.core.server"))
-        self._floor_s = service_floor_s
+        policy = batching or self.UNBATCHED
         self._pool = None
         worker_count = parse_workers(workers)
         if worker_count:
             from .procpool import ProcPoolExecutor
 
             self._pool = ProcPoolExecutor(
-                registry, workers=worker_count,
-                max_batch=(batching.max_batch if batching
-                           else self.DEFAULT_POOL_BATCH),
-                metrics=self.metrics, tracer=self.tracer, clock=clock,
+                registry, workers=worker_count, max_batch=policy.max_batch,
+                metrics=metrics, tracer=self.tracer, clock=clock,
                 fault_plan=worker_fault_plan,
             )
-        if batching:
-            self._executor = BatchingExecutor(
-                registry, batching, service_floor_s=service_floor_s,
-                clock=clock, tracer=self.tracer,
-                metrics=self.metrics, profile_layers=profile_layers,
-                pool=self._pool, sched=sched, layer_cache=layer_cache)
-        else:
-            self._executor = self._pool  # may be None: bare threaded serving
+        self._executor = BatchingExecutor(
+            registry, policy, service_floor_s=service_floor_s,
+            clock=clock, tracer=self.tracer,
+            metrics=metrics, profile_layers=profile_layers,
+            pool=self._pool, sched=sched, layer_cache=layer_cache)
+        # the executor's stage and in-queue expiry maps: the server's own
+        # stages and dead-on-arrival rejections land in the same families
+        self._stage_seconds = self._executor._stage_seconds
+        self._sched_expired = self._executor._expired
 
     def _on_start(self) -> None:
         self.sessions.start()
 
     def _on_stop(self) -> None:
         self.sessions.stop()
-        if self._executor is not None and self._executor is not self._pool:
-            self._executor.close()
+        self._executor.close()
         if self._pool is not None:
             self._pool.close()
 
@@ -560,7 +562,7 @@ class DjinnServer(TcpServiceBase):
             )
 
     def _prepare(self, request: Message):
-        """The per-kind half of a unary request: ``(net, inputs, app, raw)``.
+        """The per-kind half of a unary request: ``(inputs, app, raw)``.
 
         A tensor request yields its validated rows (``app``/``raw`` None); a
         raw-payload request yields the serving app and the decoded payload
@@ -568,13 +570,13 @@ class DjinnServer(TcpServiceBase):
         """
         if request.type == MessageType.APP_REQUEST:
             app = self._app_for(request.name)
-            return (self.registry.get(request.name), None, app,
-                    tonic_serve.decode_raw(request))
+            self.registry.get(request.name)  # KeyError -> unknown model
+            return None, app, tonic_serve.decode_raw(request)
         if request.tensor is None:
             raise ValueError("inference request carries no tensor")
-        net = self.registry.get(request.name)
-        self._check_shape(request.name, net, request.tensor)
-        return net, request.tensor, None, None
+        self._check_shape(request.name, self.registry.get(request.name),
+                          request.tensor)
+        return request.tensor, None, None
 
     def _serve_unary(self, conn: socket.socket, request: Message) -> None:
         """Serve one INFER_REQUEST or APP_REQUEST — the only unary routine.
@@ -584,9 +586,8 @@ class DjinnServer(TcpServiceBase):
         runs the whole Tonic pipeline server-side (the app's batched
         preprocess/postprocess kernels in the executor's worker context,
         coalescing with every other raw request for the model) and answers
-        with the application's JSON.  Dispatch: a batching executor takes
-        either kind; without one :meth:`_run_inline` serves on this
-        connection's thread (riding a bare pool's slot when the rows fit).
+        with the application's JSON.  The executor takes either kind,
+        serving it on this connection's thread when the model is idle.
         """
         clock = self._clock
         name = request.name
@@ -597,34 +598,30 @@ class DjinnServer(TcpServiceBase):
             start, deadline_s = ctx.start, ctx.deadline_s
             delivered = 0.0
             try:
-                net, inputs, app, raw = self._prepare(request)
+                inputs, app, raw = self._prepare(request)
                 if deadline_s is not None and clock() >= deadline_s:
-                    # dead on arrival: reject on every serve path (the
-                    # scheduler handles in-queue expiry; this covers the
-                    # bare and pool paths, and budgets spent in transit)
+                    # dead on arrival, budget spent in transit: rejected
+                    # here on every serve path, because the executor only
+                    # expires requests in queue, and only under a scheduler
                     now = clock()
-                    self._sched_expired.labels(model=name or "?").inc()
+                    self._sched_expired[name].inc()
                     ctx.add_span(
                         "sched.expire", start, now, "sched", model=name,
                         late_ms=round((now - deadline_s) * 1e3, 3))
                     raise DeadlineExceededError(name, now - deadline_s)
                 pre_end = clock()
-                if self._executor is self._pool:  # no batching executor
-                    result = self._run_inline(ctx, net, inputs, app, raw)
+                qos = None
+                if request.has_qos:
+                    qos = (deadline_s if deadline_s is not None
+                           else float("inf"), request.priority, request.tenant)
+                if is_app:
+                    result = self._executor.submit_app(
+                        name, app, raw, trace=ctx.trace, qos=qos)
                 else:
-                    qos = None
-                    if request.has_qos:
-                        qos = (deadline_s if deadline_s is not None
-                               else float("inf"),
-                               request.priority, request.tenant)
-                    if is_app:
-                        result = self._executor.submit_app(
-                            name, app, raw, trace=ctx.trace, qos=qos)
-                    else:
-                        # the served request itself, for its delivery stamp
-                        served = self._executor._submit(
-                            name, inputs, ctx.trace, qos)
-                        result, delivered = served.result, served.delivered_s
+                    # the served request itself, for its delivery stamp
+                    served = self._executor._submit(
+                        name, inputs, ctx.trace, qos)
+                    result, delivered = served.result, served.delivered_s
             except (DeadlineExceededError, KeyError, ValueError) as exc:
                 self._safe_send(conn, self._refusal(ctx, exc))
                 return
@@ -674,82 +671,10 @@ class DjinnServer(TcpServiceBase):
             self._record_slo(name, "expired")
             return ctx.reply(MessageType.DEADLINE_EXCEEDED, text=str(exc))
         reason = "unknown_model" if isinstance(exc, KeyError) else "bad_request"
-        self._errors.labels(model=name or "?", reason=reason).inc()
+        self._errors[name or "?", reason].inc()
         return ctx.reply(MessageType.ERROR, text=str(exc))
 
-    def _submit_rows(self, name: str, rows: np.ndarray, trace=None):
-        """Run ``rows`` on whatever executes forwards here; ``None`` means
-        forward them in-parent: bare threaded serving, or a single request
-        larger than a bare pool's slot envelope (served on the legacy path
-        rather than failed)."""
-        if self._executor is not self._pool:
-            return self._executor.submit(name, rows, trace=trace)
-        if self._pool is None or len(rows) > self._pool.max_batch:
-            return None
-        return self._pool.submit(name, rows, trace=trace)
-
-    def _run_inline(self, ctx: UnaryContext, net, inputs, app, raw):
-        """Bare serving on this connection's thread; returns the result.
-
-        Optional preprocess → forward (a bare pool's slot ring when the
-        rows fit, else ``net.forward``) → optional postprocess, each
-        accounted as its stage.  The service floor is anchored at this
-        routine's own start, as the executor anchors at ``rec.start``.
-        """
-        clock = self._clock
-        name = ctx.request.name
-        stage = self._stage_seconds
-        begin = clock()
-        if app is not None:
-            if faultsite.active is not None:
-                faultsite.active.on_preprocess(name)
-            inputs = np.asarray(app.preprocess(raw), dtype=np.float32)
-            pre_end = clock()
-            stage[name, "preprocess"].inc(pre_end - begin)
-            ctx.add_span("app.preprocess", begin, pre_end, "app", model=name,
-                         rows=len(inputs))
-            self._check_shape(name, net, inputs)
-        forward_start = clock()
-        # the pool records its own net.forward span
-        outputs = self._submit_rows(name, inputs, ctx.trace)
-        if outputs is not None:
-            forward_end = clock()
-        else:
-            timer = (LayerTimer(clock)
-                     if ctx.traced and self.profile_layers else None)
-            outputs = net.forward(inputs, timer=timer)
-            forward_end = clock()
-            fspan = ctx.add_span("net.forward", forward_start, forward_end,
-                                 "compute", model=name, batch_size=len(inputs))
-            if timer is not None:
-                timer.emit_spans(ctx.tracer, fspan.trace_id, fspan.span_id)
-            if self._floor_s:
-                remaining = self._floor_s - (clock() - begin)
-                if remaining > 0:
-                    time.sleep(remaining)
-        stage[name, "net.forward"].inc(forward_end - forward_start)
-        if app is None:
-            return outputs
-        post_start = clock()
-        result = app.postprocess(outputs, raw)
-        post_end = clock()
-        stage[name, "postprocess"].inc(post_end - post_start)
-        ctx.add_span("app.postprocess", post_start, post_end, "app", model=name)
-        return result
-
     # ------------------------------------------------------------ streaming
-    def _stream_dnn(self, name: str, net) -> Callable:
-        """Per-chunk DNN dispatch for a stream application.
-
-        Chunks ride the same executor as unary traffic — with batching
-        armed they enter the shared (EDF when scheduled) queues as small
-        batches and coalesce with whatever else is in flight.
-        """
-        def dnn(batch: np.ndarray) -> np.ndarray:
-            outputs = self._submit_rows(name, batch)
-            return net.forward(batch) if outputs is None else outputs
-        return dnn
-
     def _stream_app_for(self, name: str):
         """Instantiate the streaming application for one stream of ``name``.
 
@@ -758,7 +683,10 @@ class DjinnServer(TcpServiceBase):
         the generic :class:`TensorStreamApp`.
         """
         net = self.registry.get(name)  # KeyError -> unknown model
-        dnn = self._stream_dnn(name, net)
+        # chunks ride the same executor as unary traffic: with batching
+        # armed they enter the shared (EDF when scheduled) queues as small
+        # batches and coalesce with whatever else is in flight
+        dnn = functools.partial(self._executor.submit, name)
         if name == "asr" and tuple(net.input_shape) == (440,):
             from ..tonic.app import LocalBackend
             from ..tonic.asr import AsrApp, AsrStream
@@ -782,21 +710,20 @@ class DjinnServer(TcpServiceBase):
         try:
             app = self._stream_app_for(model)
         except KeyError as exc:
-            self._errors.labels(model=model or "?", reason="unknown_model").inc()
-            self._streams_total.labels(model=model or "?",
-                                       outcome="rejected").inc()
+            self._errors[model or "?", "unknown_model"].inc()
+            self._streams_total[model or "?", "rejected"].inc()
             self._stream_send(conn, request, MessageType.ERROR, text=str(exc))
             return
         try:
             session = self.sessions.open(id(conn), request.stream_id, model, app)
         except SessionLimitError as exc:
-            self._streams_total.labels(model=model, outcome="rejected").inc()
+            self._streams_total[model, "rejected"].inc()
             self._stream_send(
                 conn, request, MessageType.SESSION_LIMIT,
                 text=json.dumps({"error": str(exc), "limit": exc.limit}))
             return
         except ValueError as exc:  # duplicate stream id on this connection
-            self._errors.labels(model=model, reason="bad_request").inc()
+            self._errors[model, "bad_request"].inc()
             self._stream_send(conn, request, MessageType.ERROR, text=str(exc))
             return
         session.trace_id, session.span_id = request.trace_id, request.span_id
@@ -836,11 +763,11 @@ class DjinnServer(TcpServiceBase):
                 final = False
         except (KeyError, ValueError, RuntimeError) as exc:
             self._abort_session(session, "error")
-            self._errors.labels(model=session.model, reason="bad_request").inc()
+            self._errors[session.model, "bad_request"].inc()
             self._stream_send(conn, request, MessageType.ERROR, text=str(exc))
             return
         session.chunks += 1
-        self._stream_chunks.labels(model=session.model).inc()
+        self._stream_chunks[session.model].inc()
         if session.trace_id and self.tracer.enabled:
             self.tracer.add_span(
                 "stream.chunk", start, clock(), session.trace_id,
@@ -875,8 +802,7 @@ class DjinnServer(TcpServiceBase):
 
     def _complete_session(self, session) -> None:
         self.sessions.close(session.conn_key, session.stream_id)
-        self._streams_total.labels(model=session.model,
-                                   outcome="completed").inc()
+        self._streams_total[session.model, "completed"].inc()
         self._stream_sessions.set(len(self.sessions))
         self._end_stream_span(session, "completed")
 
@@ -889,8 +815,8 @@ class DjinnServer(TcpServiceBase):
         self._account_abort(session, reason)
 
     def _account_abort(self, session, reason: str) -> None:
-        self._streams_total.labels(model=session.model, outcome="aborted").inc()
-        self._stream_aborted.labels(model=session.model, reason=reason).inc()
+        self._streams_total[session.model, "aborted"].inc()
+        self._stream_aborted[session.model, reason].inc()
         self._stream_sessions.set(len(self.sessions))
         self._end_stream_span(session, reason)
 
@@ -907,6 +833,6 @@ class DjinnServer(TcpServiceBase):
 
     def _record_slo(self, model: str, outcome: str) -> None:
         """Account one deadline-carrying request's outcome and re-check burn."""
-        self._slo.labels(model=model or "?", outcome=outcome).inc()
+        self._slo[model or "?", outcome].inc()
         self.slo_monitor.record(model or "?", attained=outcome == "met")
         self.slo_monitor.check()

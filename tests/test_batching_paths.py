@@ -12,6 +12,7 @@ path (bare threaded, batched, bare proc pool).
 
 import contextlib
 import json
+import os
 import re
 import threading
 import time
@@ -23,7 +24,7 @@ from repro.core import (BatchingExecutor, BatchPolicy, DjinnClient,
                         DjinnServer, ModelRegistry)
 from repro.core.procpool import ProcPoolExecutor
 from repro.core.protocol import Message, MessageType
-from repro.models import lenet5
+from repro.models import alexnet, lenet5
 from repro.nn import LayerCacheConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -256,28 +257,47 @@ class _CountingDigApp(DigApp):
         return super().preprocess_batch(raws)
 
 
+@contextlib.contextmanager
+def _every_lane_held(registry, model, rows):
+    """Hold every plan lane of ``model``'s bucket covering ``rows``, one
+    holder thread per lane: plan locks are reentrant, so a thread that
+    already holds a lane would simply be handed it again."""
+    release = threading.Event()
+    holders = []
+
+    def hold(got):
+        plan = registry.acquire(model, rows)
+        got.set()
+        if plan is not None:
+            release.wait(5.0)
+            plan.lock.release()
+
+    try:
+        for _ in range(registry.lanes):
+            got = threading.Event()
+            holder = threading.Thread(target=hold, args=(got,))
+            holder.start()
+            holders.append(holder)
+            assert got.wait(5.0)
+        assert registry.acquire(model, rows) is None
+        yield
+    finally:
+        release.set()
+        for holder in holders:
+            holder.join()
+
+
 def test_contended_lock_does_not_preprocess_twice(registry, raws):
     """The inline attempt preprocesses before it can know which plan to
-    lock; when that lock is busy the rows ride along in the enqueued
-    request instead of being thrown away and recomputed by the worker."""
+    lock; when every lane of that bucket is busy the rows ride along in the
+    enqueued request instead of being thrown away and recomputed by the
+    worker."""
     executor = _executor(registry)
     app = _CountingDigApp()
-    inline_plan = registry.plan(MODEL, 1)  # what a 1-row request locks
-    holding, released = threading.Event(), threading.Event()
-
-    def hold_then_release():
-        with inline_plan.lock:  # an RLock: contend from another thread
-            holding.set()
-            released.wait(5.0)
-
-    holder = threading.Thread(target=hold_then_release)
-    holder.start()
     try:
-        assert holding.wait(5.0)
-        answer = executor.submit_app(MODEL, app, raws[0])
+        with _every_lane_held(registry, MODEL, 1):  # what a 1-row request locks
+            answer = executor.submit_app(MODEL, app, raws[0])
     finally:
-        released.set()
-        holder.join()
         executor.close()
     assert _value(executor._fast_hits, MODEL) == 0  # it did decline
     reference = DigApp(backend=None)
@@ -435,3 +455,79 @@ def test_refusals_are_the_same_on_every_serve_path_and_kind(
     for (kind, case), by_path in texts.items():
         assert len(set(by_path.values())) == 1, (kind, case, by_path)
     assert texts["tensor", "doa"] == texts["app", "doa"]
+
+
+def test_oversize_stream_chunk_on_the_bare_path_matches_forward(
+        served, registry):
+    """A stream chunk is a plain executor submit: on the bare path a 40-row
+    chunk (past the 32-row unbatched envelope) runs on a throw-away plan
+    compiled for its row count, byte-identical to ``net.forward``, and the
+    registry keeps no plan for its bucket."""
+    server, client = served["bare"]
+    executor = server._executor
+    outputs = []
+    submit = executor.submit
+
+    def recording_submit(model, rows, *args, **kwargs):
+        out = submit(model, rows, *args, **kwargs)
+        outputs.append(out)
+        return out
+
+    chunk = _tensor(77, rows=40)
+    want = registry.get(MODEL).forward(chunk)
+    executor.submit = recording_submit  # the stream app binds it at open
+    try:
+        with client.open_stream(MODEL) as stream:
+            partial = stream.send(chunk)
+    finally:
+        del executor.submit
+    assert [out.tobytes() for out in outputs] == [want.tobytes()]
+    assert partial.data["labels"] == [int(i) for i in want.argmax(axis=1)]
+    assert executor.executed_batches[MODEL][-1] == 40
+    assert (MODEL, 64) not in registry._plans
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="one CPU: the registry keeps one plan lane")
+def test_bare_server_overlaps_two_clients_forwards():
+    """Unbatched is a zero-wait executor, not a serial one: two clients'
+    concurrent AlexNet requests on a bare server each take a plan lane on
+    their own connection thread — none waits for the model's queue, whose
+    32-row envelope arena is never compiled — so their ``net.forward``
+    spans overlap."""
+    reg = ModelRegistry()
+    reg.register_spec("imc", alexnet(), seed=0)
+    tracer = Tracer(enabled=True)
+    barrier = threading.Barrier(2)
+    failures = []
+
+    def client(address, i):
+        try:
+            with DjinnClient(*address) as conn:
+                for j in range(4):
+                    x = np.full((1, 3, 227, 227), 0.01 * (i + j), np.float32)
+                    barrier.wait(30.0)
+                    reply = conn.exchange(Message(
+                        MessageType.INFER_REQUEST, name="imc", tensor=x,
+                        trace_id=1000 * (i + 1) + j, span_id=1))
+                    assert reply.type == MessageType.INFER_RESPONSE
+        except Exception as exc:  # surfaced below, on the test's thread
+            failures.append(exc)
+
+    with DjinnServer(reg, tracer=tracer) as server:
+        clients = [threading.Thread(target=client, args=(server.address, i))
+                   for i in range(2)]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join()
+    assert not failures, failures
+    assert server._executor._fast_hits["imc"].value == 8
+    assert "imc" not in server._executor._queues
+    forwards = {1: [], 2: []}
+    for span in tracer.spans():
+        if span.name == "net.forward":
+            forwards[span.trace_id // 1000].append(span)
+    assert len(forwards[1]) == len(forwards[2]) == 4
+    assert any(a.start_s < b.end_s and b.start_s < a.end_s
+               for a in forwards[1] for b in forwards[2])

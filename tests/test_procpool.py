@@ -29,6 +29,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -384,6 +385,23 @@ class TestShmLifecycle:
         pool.close()
         pool.close()  # second close must be a no-op, not a crash
 
+    def test_close_returns_while_the_reply_lock_is_held(self):
+        """A worker killed inside its reply write leaves the reply pipe's
+        shared write lock held for good; close must still return."""
+        registry = ModelRegistry()
+        registry.register_spec("pos", build_spec("pos"), seed=SEED)
+        pool = ProcPoolExecutor(registry, workers=1, max_batch=2)
+        # a process that takes the lock and exits without releasing it
+        holder = multiprocessing.get_context("fork").Process(
+            target=pool._resp_q._wlock.acquire)
+        holder.start()
+        holder.join()
+        assert not pool._resp_q._wlock.acquire(block=False)
+        closer = threading.Thread(target=pool.close, daemon=True)
+        closer.start()
+        closer.join(timeout=15.0)
+        assert not closer.is_alive(), "close() hung on the reply lock"
+
     def test_submit_after_close_is_typed(self):
         registry = ModelRegistry()
         registry.register_spec("pos", build_spec("pos"), seed=SEED)
@@ -468,7 +486,7 @@ class TestServerIntegration:
             host, port = server.address
             with DjinnClient(host, port) as client:
                 net = zoo_registry.get("pos")
-                rows = server.DEFAULT_POOL_BATCH + 3
+                rows = server.UNBATCHED.max_batch + 3
                 x = np.full((rows,) + net.input_shape, 0.1, np.float32)
                 out = client.infer("pos", x)
                 assert out.tobytes() == net.forward(x).tobytes()
@@ -507,10 +525,64 @@ class TestServerIntegration:
                     out = client.infer("pos", x)
                     assert out.tobytes() == net.forward(x).tobytes()
 
+    def test_busy_lanes_send_requests_to_slots_from_their_threads(
+            self, zoo_registry, monkeypatch):
+        """Without batching, requests that find every parent-side lane busy
+        take pool slots from their own threads — no queue hand-off — so one
+        model keeps every worker process busy at once."""
+        monkeypatch.setattr(zoo_registry, "lanes", 1)
+        lane0 = zoo_registry.plan("pos", 1)
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with lane0.lock:
+                held.set()
+                release.wait(30.0)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(5.0)
+            with DjinnServer(zoo_registry, workers="proc:2") as server:
+                executor = server._executor
+                both = threading.Barrier(2, timeout=10.0)
+                real = executor.pool.submit_parts
+
+                def submit_parts(*args, **kwargs):
+                    both.wait()  # releases only with two slots in flight
+                    return real(*args, **kwargs)
+
+                executor.pool.submit_parts = submit_parts
+                net = zoo_registry.get("pos")
+                outs = {}
+
+                def client(i):
+                    x = np.full((1,) + net.input_shape, 0.1 * (i + 1),
+                                np.float32)
+                    outs[i] = (executor.submit("pos", x).tobytes(),
+                               net.forward(x).tobytes())
+
+                clients = [threading.Thread(target=client, args=(i,))
+                           for i in range(2)]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(30.0)
+                assert len(outs) == 2
+                assert all(got == want for got, want in outs.values())
+                assert executor._fast_hits["pos"].value == 2
+                assert "pos" not in executor._queues
+        finally:
+            release.set()
+            holder.join()
+
     def test_metrics_endpoint_includes_worker_counters(self, zoo_registry):
         """METRICS over TCP returns the parent dump merged with every
         worker's seqlock'd dump — per-process serving counters included."""
         with DjinnServer(zoo_registry, workers="proc:2") as server:
+            # a lone request on an idle model is served in the parent; turn
+            # that off so this one reaches a worker process
+            server._executor._fast_off.add("pos")
             host, port = server.address
             with DjinnClient(host, port) as client:
                 net = zoo_registry.get("pos")

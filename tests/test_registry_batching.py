@@ -1,5 +1,6 @@
 """Unit tests for the model registry, service stats, and batching executor."""
 
+import os
 import threading
 
 import numpy as np
@@ -160,3 +161,188 @@ class TestBatchingExecutor:
             BatchPolicy(max_batch=0)
         with pytest.raises(ValueError):
             BatchPolicy(timeout_ms=-1.0)
+
+
+class TestPlanLanes:
+    """Up to ``registry.lanes`` plans per (model, bucket): the batch-1 fast
+    path takes a free lane, so concurrent submitters on an idle model run
+    in parallel instead of declining into the model's one queue."""
+
+    @staticmethod
+    def _executor(registry):
+        return BatchingExecutor(registry, BatchPolicy(max_batch=4, timeout_ms=0.0),
+                                metrics=MetricsRegistry())
+
+    @staticmethod
+    def _submit_with_lane_zero_held(registry, executor, x):
+        lane0 = registry.plan("pos", 1)
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with lane0.lock:  # an RLock: contend from another thread
+                held.set()
+                release.wait(5.0)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(5.0)
+            return executor.submit("pos", x)
+        finally:
+            release.set()
+            holder.join()
+
+    def test_second_lane_serves_inline_while_first_is_held(self, registry, rng):
+        registry.lanes = 2
+        executor = self._executor(registry)
+        x = rng.normal(size=(1, 300)).astype(np.float32)
+        try:
+            out = self._submit_with_lane_zero_held(registry, executor, x)
+            assert executor._fast_hits["pos"].value == 1
+            assert "pos" not in executor._queues  # the worker never started
+        finally:
+            executor.close()
+        assert out.tobytes() == registry.get("pos").forward(x).tobytes()
+        assert len(registry._plans["pos", 1]) == 2
+
+    def test_single_lane_declines_while_held(self, registry, rng):
+        registry.lanes = 1
+        executor = self._executor(registry)
+        x = rng.normal(size=(1, 300)).astype(np.float32)
+        try:
+            out = self._submit_with_lane_zero_held(registry, executor, x)
+            assert executor._fast_hits["pos"].value == 0
+            assert list(executor.executed_batches["pos"]) == [1]
+        finally:
+            executor.close()
+        assert out.tobytes() == registry.get("pos").forward(x).tobytes()
+        assert len(registry._plans["pos", 1]) == 1
+
+    def test_coalescing_window_declines_while_lane_zero_is_held(self, registry,
+                                                               rng):
+        """A batched policy keeps one lane: the second concurrent request
+        queues and coalesces instead of compiling another arena."""
+        registry.lanes = 2
+        executor = BatchingExecutor(registry, BatchPolicy(max_batch=4,
+                                                          timeout_ms=1.0),
+                                    metrics=MetricsRegistry())
+        x = rng.normal(size=(1, 300)).astype(np.float32)
+        try:
+            out = self._submit_with_lane_zero_held(registry, executor, x)
+            assert executor._fast_hits["pos"].value == 0
+            assert list(executor.executed_batches["pos"]) == [1]
+        finally:
+            executor.close()
+        assert out.tobytes() == registry.get("pos").forward(x).tobytes()
+        assert len(registry._plans["pos", 1]) == 1
+
+    def test_lane_compiles_outside_the_registry_lock(self, registry,
+                                                     monkeypatch):
+        """A new lane is reserved under the registry lock and compiled
+        outside it: other lookups never wait on the arena, and the
+        reservation counts toward the lane limit."""
+        from repro.core import registry as registry_mod
+
+        registry.lanes = 2
+        lane0 = registry.plan("pos", 1)
+        compiling, finish = threading.Event(), threading.Event()
+        real = registry_mod.ExecutionPlan
+
+        def slow_compile(net, bucket):
+            compiling.set()
+            finish.wait(10.0)
+            return real(net, bucket)
+
+        monkeypatch.setattr(registry_mod, "ExecutionPlan", slow_compile)
+        held, got = threading.Event(), []
+
+        def hold():
+            with lane0.lock:  # an RLock: contend from other threads
+                held.set()
+                finish.wait(10.0)
+
+        def grow():
+            got.append(registry.acquire("pos", 1))
+            got[0].lock.release()
+
+        threads = [threading.Thread(target=hold), threading.Thread(target=grow)]
+        threads[0].start()
+        try:
+            assert held.wait(5.0)
+            threads[1].start()
+            assert compiling.wait(5.0)
+            assert registry.plan("pos", 1) is lane0  # not blocked
+            assert registry.acquire("pos", 1) is None  # lane 1 is reserved
+        finally:
+            finish.set()
+            for thread in threads:
+                thread.join(10.0)
+        assert got[0] is not lane0
+        assert registry._plans["pos", 1] == (lane0, got[0])
+
+    def test_lane_count_without_sched_getaffinity(self, monkeypatch):
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        assert ModelRegistry().lanes == (os.cpu_count() or 1)
+
+    def test_acquire_never_compiles_past_the_lane_count(self, registry):
+        registry.lanes = 2
+        held = []
+        arrived, release = threading.Barrier(4), threading.Event()
+
+        def hold():
+            plan = registry.acquire("pos", 1)
+            held.append(plan)
+            arrived.wait()
+            release.wait(5.0)
+            if plan is not None:
+                plan.lock.release()
+
+        holders = [threading.Thread(target=hold) for _ in range(3)]
+        for holder in holders:
+            holder.start()
+        try:
+            arrived.wait(5.0)
+        finally:
+            release.set()
+            for holder in holders:
+                holder.join()
+        lanes = [plan for plan in held if plan is not None]
+        assert len(lanes) == 2 and lanes[0] is not lanes[1]
+        assert registry.plan("pos", 1) is registry._plans["pos", 1][0]
+
+    def test_concurrent_submitters_stay_within_the_lane_count(self, registry):
+        registry.lanes = 2
+        executor = self._executor(registry)
+        net = registry.get("pos")
+        barrier = threading.Barrier(6)
+        mismatches = []
+
+        def client(i):
+            x = np.full((1, 300), 0.01 * i, np.float32)
+            want = net.forward(x).tobytes()
+            barrier.wait()
+            for _ in range(20):
+                if executor.submit("pos", x).tobytes() != want:
+                    mismatches.append(i)
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(6)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            executor.close()
+        assert not mismatches
+        assert 1 <= len(registry._plans["pos", 1]) <= 2
+
+    def test_one_sequential_client_compiles_one_lane(self, registry, rng):
+        registry.lanes = 4
+        executor = self._executor(registry)
+        try:
+            for _ in range(20):
+                executor.submit("pos", rng.normal(size=(1, 300)).astype(np.float32))
+            assert executor._fast_hits["pos"].value == 20
+        finally:
+            executor.close()
+        assert len(registry._plans["pos", 1]) == 1
